@@ -11,11 +11,11 @@
 //
 // Each cell also carries a per-phase wall-time breakdown from the
 // World's in-band phase profiler (WorldConfig.profile_phases): the
-// serial path splits into mobility/contacts/events/ttl/prewarm/
-// transfers, the graph path into dispatch (one task-graph run covering
-// everything up to transfers) + transfers. The stamps are taken inside
-// the measured run; they add a few steady_clock reads per step to both
-// sides, slightly *more* to the serial one (six stamps vs two), so
+// serial path splits into mobility/contacts/events/ttl/transfers, the
+// graph path into dispatch (one task-graph run covering everything up
+// to transfers) + transfers. The stamps are taken inside the measured
+// run; they add a few steady_clock reads per step to both sides,
+// slightly *more* to the serial one (five stamps vs two), so
 // reported speedups are marginally conservative.
 //
 //   ./micro_parallel_step [warm_s] [measure_s] [out.json]
@@ -50,7 +50,6 @@ dtn::PhaseProfile profile_delta(const dtn::PhaseProfile& a,
   d.contacts_s = b.contacts_s - a.contacts_s;
   d.events_s = b.events_s - a.events_s;
   d.ttl_s = b.ttl_s - a.ttl_s;
-  d.prewarm_s = b.prewarm_s - a.prewarm_s;
   d.transfers_s = b.transfers_s - a.transfers_s;
   d.dispatch_s = b.dispatch_s - a.dispatch_s;
   d.steps = b.steps - a.steps;
@@ -89,8 +88,7 @@ std::string phases_json(const dtn::PhaseProfile& p, bool graph_path) {
     s += "\"mobility_s\": " + std::to_string(p.mobility_s) +
          ", \"contacts_s\": " + std::to_string(p.contacts_s) +
          ", \"events_s\": " + std::to_string(p.events_s) +
-         ", \"ttl_s\": " + std::to_string(p.ttl_s) +
-         ", \"prewarm_s\": " + std::to_string(p.prewarm_s) + ", ";
+         ", \"ttl_s\": " + std::to_string(p.ttl_s) + ", ";
   }
   s += "\"transfers_s\": " + std::to_string(p.transfers_s) +
        ", \"stepped\": " + std::to_string(p.steps) + "}";

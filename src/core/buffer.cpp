@@ -97,7 +97,7 @@ Message load_message(snapshot::ArchiveReader& in) {
   m.hops = static_cast<int>(in.i64());
   m.forwards = static_cast<int>(in.i64());
   m.received = in.f64();
-  const std::uint64_t n_spray = in.u64();
+  const std::uint64_t n_spray = in.count(snapshot::ArchiveReader::kF64Bytes);
   m.spray_times.reserve(n_spray);
   for (std::uint64_t i = 0; i < n_spray; ++i) m.spray_times.push_back(in.f64());
   return m;
@@ -130,7 +130,9 @@ void Buffer::load_state(snapshot::ArchiveReader& in) {
   for (Handle h : handles_) arena_->free(h);
   handles_.clear();
   std::int64_t used = 0;
-  const std::uint64_t n = in.u64();
+  // A message encodes at least its u64 id and u64 spray count.
+  const std::uint64_t n =
+      in.count(2 * snapshot::ArchiveReader::kU64Bytes);
   handles_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Message m = load_message(in);

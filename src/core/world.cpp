@@ -15,7 +15,6 @@ namespace {
 /// never depends on the grain (chunks only batch independent per-index
 /// work), so these are pure tuning knobs.
 constexpr std::size_t kMobilityGrain = 64;
-constexpr std::size_t kPrewarmGrain = 8;
 constexpr std::size_t kTtlGrain = 64;
 /// Contact-event groups per chunk in the hoisted estimator pass.
 constexpr std::size_t kImtGrain = 4;
@@ -51,12 +50,6 @@ World::World(const WorldConfig& cfg) : cfg_(cfg), tracker_(cfg.range) {
       MobilityModel* m = mobility_raw_[i];
       m->advance(cfg_.step);
       positions_[i] = m->position();
-    }
-  };
-  prewarm_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const Node& n = *nodes_[prewarm_nodes_[k]];
-      policy_->prewarm_node(ctx_for(n));
     }
   };
   ttl_classify_kernel_ = [this](std::size_t begin, std::size_t end) {
@@ -242,33 +235,6 @@ void World::advance_mobility() {
   }
 }
 
-bool World::prewarm_enabled() const {
-  return exec_ != nullptr && cfg_.priority_cache && policy_->cache_safe() &&
-         policy_->prewarm_worthwhile();
-}
-
-std::size_t World::build_prewarm_nodes() {
-  // Only nodes on an active contact face priority evaluations in the
-  // upcoming start_transfers phase. Shards are whole nodes, so each task
-  // writes only its own node's warm buffer — no shared mutable state.
-  prewarm_nodes_.clear();
-  for (const NodePair& p : active_contacts()) {
-    prewarm_nodes_.push_back(static_cast<NodeId>(p.first));
-    prewarm_nodes_.push_back(static_cast<NodeId>(p.second));
-  }
-  std::sort(prewarm_nodes_.begin(), prewarm_nodes_.end());
-  prewarm_nodes_.erase(
-      std::unique(prewarm_nodes_.begin(), prewarm_nodes_.end()),
-      prewarm_nodes_.end());
-  return prewarm_nodes_.size();
-}
-
-void World::prewarm_priorities() {
-  if (!prewarm_enabled()) return;
-  if (build_prewarm_nodes() == 0) return;
-  exec_->for_each(prewarm_nodes_.size(), kPrewarmGrain, prewarm_kernel_);
-}
-
 bool World::graph_eligible() const {
   // The graph body requires the event-driven core (the legacy scans have
   // no phase structure worth overlapping). Faults and observers are fine:
@@ -322,8 +288,6 @@ void World::step_serial() {
   stamp(profile_.events_s);
   purge_ttl();
   stamp(profile_.ttl_s);
-  prewarm_priorities();
-  stamp(profile_.prewarm_s);
   start_transfers();
   stamp(profile_.transfers_s);
   ++profile_.steps;
@@ -397,18 +361,8 @@ void World::build_step_graph() {
       },
       kTtlGrain, {g_apply_});
   g_ttl_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) {
-        apply_ttl(ttl_parallel_);
-        std::size_t warm = 0;
-        if (prewarm_enabled()) warm = build_prewarm_nodes();
-        step_graph_.set_items(g_prewarm_, warm);
-      },
+      [this](std::size_t, std::size_t) { apply_ttl(ttl_parallel_); },
       {g_verdict_});
-  g_prewarm_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        prewarm_kernel_(begin, end);
-      },
-      kPrewarmGrain, {g_ttl_});
 }
 
 void World::step_graph() {
@@ -1302,7 +1256,7 @@ void write_sample_vec(snapshot::ArchiveWriter& out,
 
 void read_sample_vec(snapshot::ArchiveReader& in, std::vector<double>& v) {
   v.clear();
-  const std::uint64_t n = in.u64();
+  const std::uint64_t n = in.count(snapshot::ArchiveReader::kF64Bytes);
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(in.f64());
 }
@@ -1389,7 +1343,9 @@ void World::load_state(snapshot::ArchiveReader& in) {
   for (auto& n : nodes_) n->load_state(in);
   tracker_.load_state(in);
   transfers_.clear();
-  const std::uint64_t n_transfers = in.u64();
+  using R = snapshot::ArchiveReader;
+  const std::uint64_t n_transfers =
+      in.count(2 * R::kU32Bytes + R::kU64Bytes + 2 * R::kF64Bytes);
   transfers_.reserve(n_transfers);
   for (std::uint64_t i = 0; i < n_transfers; ++i) {
     Transfer t;
@@ -1423,7 +1379,8 @@ void World::load_state(snapshot::ArchiveReader& in) {
   }
   idle_memo_.clear();
   if (in.version() >= 2) {
-    const std::uint64_t n_memo = in.u64();
+    const std::uint64_t n_memo =
+        in.count(2 * R::kU32Bytes + R::kF64Bytes + 4 * R::kU64Bytes);
     idle_memo_.reserve(n_memo);
     for (std::uint64_t i = 0; i < n_memo; ++i) {
       const NodeId a = in.u32();

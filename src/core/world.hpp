@@ -67,8 +67,8 @@ struct WorldConfig {
   /// Intra-step parallelism (DESIGN.md §11/§16): execution-lane count
   /// (including the caller) for the persistent-worker task-graph step
   /// executor — mobility advance, contact candidate enumeration,
-  /// watch-pair rechecks, contact-event estimator updates, priority
-  /// prewarm, TTL candidate classification all become dependency nodes
+  /// watch-pair rechecks, contact-event estimator updates and TTL
+  /// candidate classification all become dependency nodes
   /// of one per-step graph dispatched with a single epoch bump.
   /// 0 (the default) runs the serial reference step loop; any value
   /// produces bit-identical digest trajectories — the parallel phases
@@ -82,7 +82,7 @@ struct WorldConfig {
 };
 
 /// Cumulative wall-clock seconds per step phase (profile_phases only).
-/// The serial path stamps the six phases individually; the task-graph
+/// The serial path stamps its five phases individually; the task-graph
 /// path folds the graph-resident phases into dispatch_s (the phases
 /// overlap in time there, so per-phase walls would double-count).
 struct PhaseProfile {
@@ -90,7 +90,7 @@ struct PhaseProfile {
   double contacts_s = 0.0;   ///< tracker update + link churn (serial path)
   double events_s = 0.0;     ///< completions + traffic (serial path)
   double ttl_s = 0.0;        ///< TTL purge (serial path)
-  double prewarm_s = 0.0;    ///< priority prewarm (serial path)
+  double prewarm_s = 0.0;    ///< always 0; retained for readers of the struct
   double transfers_s = 0.0;  ///< start_transfers (both paths)
   double dispatch_s = 0.0;   ///< task-graph run(), graph path only
   std::uint64_t steps = 0;
@@ -218,7 +218,7 @@ class World {
   // --- step bodies (dispatch in step()) ---
   /// The serial reference step: phases run strictly in order. Used when
   /// cfg.threads == 0 and for the legacy (scan-based) step variant; with
-  /// an executor attached, the mobility / tracker / TTL / prewarm phases
+  /// an executor attached, the mobility / tracker / TTL phases
   /// still fan out via for_each, but every phase is a barrier.
   void step_serial();
   /// The task-graph step (DESIGN.md §16): the same phases as dependency
@@ -240,18 +240,6 @@ class World {
   void apply_step_events();             ///< g_apply_
 
   void advance_mobility();
-  /// Parallel-mode only: batch-computes the priorities the upcoming
-  /// serial start_transfers phase would derive lazily, sharded per node,
-  /// into each node's PriorityCache warm buffer (consumed on memo miss,
-  /// decision-identical either way). No-op when serial, cache off, or the
-  /// policy opts out.
-  void prewarm_priorities();
-  /// True when the prewarm node is worth dispatching (cache on, policy
-  /// cache-safe, contacts exist). Shared gate for both step bodies.
-  bool prewarm_enabled() const;
-  /// Rebuilds prewarm_nodes_ (sorted unique endpoints of the active
-  /// contact set); returns its size.
-  std::size_t build_prewarm_nodes();
   void process_link_down(const NodePair& p);
   void process_link_up(const NodePair& p);
   void abort_transfers_on(const NodePair& p);
@@ -381,7 +369,6 @@ class World {
   };
   std::vector<ExpiryEvent> due_scratch_;   ///< purge_ttl: due batch, pop order
   std::vector<TtlVerdict> ttl_verdicts_;   ///< purge_ttl: parallel verdicts
-  std::vector<NodeId> prewarm_nodes_;      ///< prewarm: deduped contact nodes
   std::vector<Message> traffic_scratch_;   ///< generate_traffic: poll output
   std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
@@ -399,8 +386,7 @@ class World {
   int g_imt_ = -1;      ///< parallel: per-node contact-estimator updates
   int g_apply_ = -1;    ///< serial:   churn + completions + traffic + drain
   int g_verdict_ = -1;  ///< parallel: TTL verdict classification
-  int g_ttl_ = -1;      ///< serial:   TTL apply + prewarm sizing
-  int g_prewarm_ = -1;  ///< parallel: priority prewarm
+  int g_ttl_ = -1;      ///< serial:   TTL apply
   /// One contact-edge event for the hoisted estimator pass: node's view
   /// of a link to peer going up/down. seq is the serial emission order;
   /// groups sorted by (node, seq) preserve each node's event order.
@@ -425,7 +411,6 @@ class World {
   /// only `this`, so neither construction nor invocation allocates —
   /// the zero-steady-state-allocation tests cover the whole step loop).
   TaskKernel mobility_kernel_;     ///< advance + position sample
-  TaskKernel prewarm_kernel_;      ///< prewarm_nodes_ range
   TaskKernel ttl_classify_kernel_; ///< due_scratch_ -> ttl_verdicts_
   TaskKernel quiet_kernel_;        ///< fused k-step mobility advance
   PhaseProfile profile_;

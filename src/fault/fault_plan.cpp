@@ -170,7 +170,8 @@ void FaultPlan::load_state(snapshot::ArchiveReader& in) {
     if (degraded_[i]) ++degraded_count_;
   }
   heap_.clear();
-  const std::uint64_t ne = in.u64();
+  using R = snapshot::ArchiveReader;
+  const std::uint64_t ne = in.count(R::kF64Bytes + R::kU32Bytes);
   heap_.reserve(ne);
   for (std::uint64_t i = 0; i < ne; ++i) {
     Event e;

@@ -253,7 +253,8 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
 void ContactTracker::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("contacts");
   current_.clear();
-  const std::uint64_t n = in.u64();
+  using R = snapshot::ArchiveReader;
+  const std::uint64_t n = in.count(2 * R::kU64Bytes);
   current_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const auto a = static_cast<std::size_t>(in.u64());
@@ -267,7 +268,7 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in) {
     budget_ = in.f64();
     have_prev_ = in.boolean();
     prev_.clear();
-    const std::uint64_t np = in.u64();
+    const std::uint64_t np = in.count(2 * R::kF64Bytes);
     prev_.reserve(np);
     for (std::uint64_t i = 0; i < np; ++i) {
       const double x = in.f64();
@@ -275,7 +276,7 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in) {
       prev_.push_back({x, y});
     }
     watch_.clear();
-    const std::uint64_t nw = in.u64();
+    const std::uint64_t nw = in.count(2 * R::kU32Bytes);
     watch_.reserve(nw);
     for (std::uint64_t i = 0; i < nw; ++i) {
       WatchPair wp;

@@ -41,7 +41,7 @@ bool read_shard_result(const std::string& dir, std::size_t shard,
   ShardResult result;
   result.shard = static_cast<std::size_t>(r.u64());
   DTN_REQUIRE(result.shard == shard, "shard result: index mismatch");
-  const std::uint64_t count = r.u64();
+  const std::uint64_t count = r.count(snapshot::ArchiveReader::kU64Bytes);
   result.partials.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto point = static_cast<std::size_t>(r.u64());

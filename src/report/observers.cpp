@@ -63,7 +63,9 @@ void DeliveredMessagesReport::save_state(snapshot::ArchiveWriter& out) const {
 void DeliveredMessagesReport::load_state(snapshot::ArchiveReader& in) {
   in.begin_section("delivered-report");
   rows_.clear();
-  const std::uint64_t n = in.u64();
+  using R = snapshot::ArchiveReader;
+  const std::uint64_t n =
+      in.count(2 * R::kU64Bytes + 3 * R::kU32Bytes + 2 * R::kF64Bytes);
   rows_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Row r;

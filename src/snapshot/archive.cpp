@@ -151,6 +151,14 @@ bool ArchiveReader::boolean() {
   return b != 0;
 }
 
+std::uint64_t ArchiveReader::count(std::size_t elem_bytes) {
+  const std::uint64_t n = u64();
+  DTN_REQUIRE(n <= remaining() / elem_bytes,
+              "archive: element count exceeds the remaining bytes "
+              "(corrupt length prefix?)");
+  return n;
+}
+
 std::string ArchiveReader::str() {
   expect(Tag::kString);
   const std::uint64_t n = le64();

@@ -137,6 +137,16 @@ class ArchiveReader {
   bool boolean();
   std::string str();
 
+  /// Encoded sizes (type tag + payload) of the fixed-width scalars.
+  static constexpr std::size_t kU32Bytes = 5;
+  static constexpr std::size_t kU64Bytes = 9;
+  static constexpr std::size_t kF64Bytes = 9;
+
+  /// Reads a u64 element count and requires that many elements of at
+  /// least `elem_bytes` encoded bytes each to fit in the unread stream,
+  /// so a corrupt length prefix fails here instead of in reserve().
+  std::uint64_t count(std::size_t elem_bytes);
+
   /// Consumes a section begin marker and checks the recorded name.
   void begin_section(const std::string& name);
   void end_section();

@@ -4,11 +4,11 @@
 // only changes *where* read-mostly work runs, never what it computes or
 // the order in which effects are applied. The proof mirrors the
 // event-core suite: digest trajectories on both paper scenarios under
-// all four paper policies, serial vs 1/2/8 workers, with and without
-// faults, plus targeted checks for the sharded subsystems (contact
-// churn ordering, batched TTL verdicts, checkpoint round-trips) and the
-// zero-allocation guarantee of the steady-state step loop, serial and
-// parallel alike.
+// all four paper policies (plus knapsack-SDSRP on RWP), serial vs 1/2/8
+// workers, with and without faults, plus targeted checks for the sharded
+// subsystems (contact churn ordering, batched TTL verdicts, checkpoint
+// round-trips) and the zero-allocation guarantee of the steady-state
+// step loop, serial and parallel alike.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -122,6 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ParallelCase{"rwp", "ttl-ratio", false},
                       ParallelCase{"rwp", "copies-ratio", false},
                       ParallelCase{"rwp", "sdsrp", false},
+                      ParallelCase{"rwp", "knapsack-sdsrp", false},
                       ParallelCase{"taxi", "fifo", false},
                       ParallelCase{"taxi", "ttl-ratio", false},
                       ParallelCase{"taxi", "copies-ratio", false},
@@ -138,14 +139,17 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(ParallelStepEquivalence, TightBuffersExerciseDropAndPrewarmPaths) {
-  // Saturated buffers make the SDSRP prewarm consequential: every
-  // contact rates full buffers, evicts, and gossips dropped lists — the
-  // warm side-buffer must still be decision-invisible.
+TEST(ParallelStepEquivalence, TightBuffersExerciseDropPaths) {
+  // Saturated buffers put SDSRP's drop path on every contact: each one
+  // rates full buffers through the priority memo, evicts, and gossips
+  // dropped lists. The graph path must still match serial at 2 and 4
+  // lanes.
   Scenario sc = Scenario::random_waypoint_paper();
   sc.world.duration = 900.0;
   sc.buffer_capacity = 1'250'000;
-  EXPECT_EQ(digest_trajectory(sc, 2), digest_trajectory(sc, 0));
+  const std::vector<std::uint64_t> serial = digest_trajectory(sc, 0);
+  EXPECT_EQ(digest_trajectory(sc, 2), serial);
+  EXPECT_EQ(digest_trajectory(sc, 4), serial);
 }
 
 // --- sharded-subsystem checks ---

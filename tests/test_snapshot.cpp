@@ -7,6 +7,7 @@
 // sets) supports that guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -370,6 +371,65 @@ TEST(SnapshotV3, LegacyStepModeRoundTrips) {
   EXPECT_EQ(restored.world->digest(), cold->digest());
   EXPECT_EQ(restored.world->contacts().full_pass_count(),
             restored.world->contacts().update_count());
+}
+
+// --- hostile length prefixes ---
+
+// Offset of the u64 message count in the first "buffer" section that
+// holds at least one message, or npos. The section body starts with the
+// i64 capacity and the u64 revision (9 encoded bytes each).
+std::size_t first_nonempty_buffer_count(const std::vector<std::uint8_t>& b) {
+  constexpr std::size_t kScalar = snapshot::ArchiveReader::kU64Bytes;
+  const std::string name = "buffer";
+  const auto le64_at = [&b](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  for (auto it = b.begin();
+       (it = std::search(it, b.end(), name.begin(), name.end())) != b.end();
+       ++it) {
+    const auto at = static_cast<std::size_t>(it - b.begin());
+    if (at < 8 || le64_at(at - 8) != name.size()) continue;
+    const std::size_t count_at = at + name.size() + 2 * kScalar;
+    if (count_at + kScalar <= b.size() && le64_at(count_at + 1) > 0) {
+      return count_at;
+    }
+  }
+  return std::string::npos;
+}
+
+TEST(SnapshotHostile, FlippedLengthPrefixIsAPreconditionError) {
+  // One flipped high byte turns a count into ~4.6e18. Unchecked, the
+  // matching reserve() dies in the allocator (length_error/bad_alloc, or
+  // an out-of-memory abort under ASan); bounded by the bytes left, the
+  // restore fails cleanly with the archive's own error.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+
+  const std::size_t count_at = first_nonempty_buffer_count(clean);
+  ASSERT_NE(count_at, std::string::npos);
+  // The first message starts after the count; its spray-time count
+  // follows 11 fixed fields: u64 id, 2 x u32 endpoints, i64 size,
+  // 2 x f64 times, 4 x i64 counters, f64 received (i64 encodes like u64).
+  using R = snapshot::ArchiveReader;
+  const std::size_t spray_at = count_at + R::kU64Bytes + 6 * R::kU64Bytes +
+                               2 * R::kU32Bytes + 3 * R::kF64Bytes;
+  for (const std::size_t at : {count_at, spray_at}) {
+    ASSERT_EQ(clean[at], static_cast<std::uint8_t>(snapshot::Tag::kU64));
+    ASSERT_EQ(clean[at + 8], 0u) << "count must be a small number";
+    std::vector<std::uint8_t> bytes = clean;
+    bytes[at + 8] ^= 0x40;  // high byte of the little-endian payload
+    snapshot::ArchiveReader in(std::move(bytes));
+    EXPECT_THROW(snapshot::restore_world(in), PreconditionError)
+        << "length prefix at byte " << at;
+  }
 }
 
 // --- digest determinism regression ---
