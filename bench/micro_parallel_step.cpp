@@ -1,22 +1,23 @@
 // Intra-step parallelism microbenchmark: Table II RWP at growing fleet
-// sizes, serial step loop (Parallel.threads = 0) vs the task-graph step
-// (DESIGN.md §16) at 2/4/8 workers, for FIFO and SDSRP. The parallel
-// mode is decision-identical by construction, so every (N, policy,
-// threads) cell also compares its end-of-run digest against the serial
-// baseline — `parallel_digest_matches_serial` in the JSON is the AND
+// sizes, the task-graph step (DESIGN.md §16) on one inline lane
+// (Parallel.threads = 0) vs 2/4/8 lanes, for FIFO and SDSRP. Extra lanes
+// are decision-identical by construction, so every (N, policy, threads)
+// cell also compares its end-of-run digest against the one-lane
+// baseline — `parallel_digest_matches_one_lane` in the JSON is the AND
 // over every cell and is gated by CI. `hardware_threads` records the
 // measurement box: throughput numbers are only meaningful relative to
 // it, so on a single-hardware-thread container the speedup verdict is
 // reported as "skipped" (digest checks still run and still gate).
 //
 // Each cell also carries a per-phase wall-time breakdown from the
-// World's in-band phase profiler (WorldConfig.profile_phases): the
-// serial path splits into mobility/contacts/events/ttl/transfers, the
-// graph path into dispatch (one task-graph run covering everything up
-// to transfers) + transfers. The stamps are taken inside the measured
-// run; they add a few steady_clock reads per step to both sides,
-// slightly *more* to the serial one (five stamps vs two), so
-// reported speedups are marginally conservative.
+// World's in-band phase profiler (WorldConfig.profile_phases): at one
+// lane the graph nodes stamp mobility/contacts/events/ttl, plus
+// transfers; with more lanes the phases overlap, so the profile reports
+// dispatch (one task-graph run covering everything up to transfers) +
+// transfers. The stamps are taken inside the measured run; the one-lane
+// side takes more of them (one per graph node and per 64-node mobility
+// chunk, vs two per step), so reported speedups are marginally
+// conservative.
 //
 //   ./micro_parallel_step [warm_s] [measure_s] [out.json]
 //
@@ -80,9 +81,9 @@ RunResult run_one(std::size_t nodes, const std::string& policy,
   return r;
 }
 
-std::string phases_json(const dtn::PhaseProfile& p, bool graph_path) {
+std::string phases_json(const dtn::PhaseProfile& p, bool many_lanes) {
   std::string s = "{";
-  if (graph_path) {
+  if (many_lanes) {
     s += "\"dispatch_s\": " + std::to_string(p.dispatch_s) + ", ";
   } else {
     s += "\"mobility_s\": " + std::to_string(p.mobility_s) +
@@ -121,16 +122,17 @@ int main(int argc, char** argv) {
   std::string rows;
   for (const std::size_t n : fleet_sizes) {
     for (const std::string& policy : policies) {
-      const RunResult serial = run_one(n, policy, 0, warm_s, measure_s);
-      std::cout << "  N=" << n << " " << policy << ": serial "
-                << serial.steps_per_sec << " steps/s\n";
+      const RunResult one_lane = run_one(n, policy, 0, warm_s, measure_s);
+      std::cout << "  N=" << n << " " << policy << ": one lane "
+                << one_lane.steps_per_sec << " steps/s\n";
       for (const std::size_t threads : thread_counts) {
         const RunResult par = run_one(n, policy, threads, warm_s, measure_s);
-        const bool match = par.digest == serial.digest;
+        const bool match = par.digest == one_lane.digest;
         all_digests_match = all_digests_match && match;
-        const double speedup = serial.steps_per_sec > 0.0
-                                   ? par.steps_per_sec / serial.steps_per_sec
-                                   : 0.0;
+        const double speedup =
+            one_lane.steps_per_sec > 0.0
+                ? par.steps_per_sec / one_lane.steps_per_sec
+                : 0.0;
         std::cout << "    threads=" << threads << ": "
                   << par.steps_per_sec << " steps/s, speedup ";
         if (speedup_meaningful) {
@@ -142,8 +144,8 @@ int main(int argc, char** argv) {
         if (!rows.empty()) rows += ",\n";
         rows += "    {\"nodes\": " + std::to_string(n) + ", \"policy\": \"" +
                 policy + "\", \"threads\": " + std::to_string(threads) +
-                ", \"serial_steps_per_sec\": " +
-                std::to_string(serial.steps_per_sec) +
+                ", \"one_lane_steps_per_sec\": " +
+                std::to_string(one_lane.steps_per_sec) +
                 ", \"parallel_steps_per_sec\": " +
                 std::to_string(par.steps_per_sec) +
                 ", \"speedup\": " + std::to_string(speedup) +
@@ -151,10 +153,10 @@ int main(int argc, char** argv) {
                 (speedup_meaningful ? "measured" : "skipped") +
                 "\", \"delivered\": " + std::to_string(par.delivered) +
                 ", \"digest_match\": " + (match ? "true" : "false") +
-                ",\n     \"serial_phases\": " +
-                phases_json(serial.phases, /*graph_path=*/false) +
+                ",\n     \"one_lane_phases\": " +
+                phases_json(one_lane.phases, /*many_lanes=*/false) +
                 ",\n     \"parallel_phases\": " +
-                phases_json(par.phases, /*graph_path=*/true) + "}";
+                phases_json(par.phases, /*many_lanes=*/true) + "}";
       }
     }
   }
@@ -170,7 +172,7 @@ int main(int argc, char** argv) {
       << "  \"results\": [\n"
       << rows << "\n"
       << "  ],\n"
-      << "  \"parallel_digest_matches_serial\": "
+      << "  \"parallel_digest_matches_one_lane\": "
       << (all_digests_match ? "true" : "false") << "\n"
       << "}\n";
   std::cout << "wrote " << out_path << "\n";

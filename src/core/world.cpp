@@ -21,9 +21,9 @@ constexpr std::size_t kImtGrain = 4;
 /// Below this many due TTL entries the serial checks are cheaper than
 /// fanning the batch out.
 constexpr std::size_t kTtlParallelMin = 64;
-/// Most steps a quiet batch may fuse (bounds the per-chunk stack array
-/// in the fused mobility kernel).
-constexpr std::size_t kQuietBatchMax = 32;
+/// Upper bound on arena slots reserved up front, whether estimated from
+/// the traffic schedule or hinted by a restored checkpoint.
+constexpr std::size_t kArenaReserveMax = std::size_t{1} << 18;
 
 inline double wall_now() {
   return std::chrono::duration<double>(
@@ -32,7 +32,10 @@ inline double wall_now() {
 }
 }  // namespace
 
-World::World(const WorldConfig& cfg) : cfg_(cfg), tracker_(cfg.range) {
+World::World(const WorldConfig& cfg)
+    : cfg_(cfg),
+      exec_(std::max<std::size_t>(cfg.threads, 1)),
+      tracker_(cfg.range) {
   DTN_REQUIRE(cfg.step > 0.0, "World: step must be positive");
   DTN_REQUIRE(cfg.duration > 0.0, "World: duration must be positive");
   DTN_REQUIRE(cfg.bandwidth > 0.0, "World: bandwidth must be positive");
@@ -41,52 +44,7 @@ World::World(const WorldConfig& cfg) : cfg_(cfg), tracker_(cfg.range) {
   DTN_REQUIRE(cfg.priority_refresh_s >= 0.0,
               "World: priority_refresh_s must be non-negative");
   next_occupancy_sample_ = cfg.occupancy_sample_interval;
-  if (cfg_.threads > 0) {
-    exec_ = std::make_unique<TaskExecutor>(cfg_.threads);
-    tracker_.set_executor(exec_.get());
-  }
-  mobility_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      MobilityModel* m = mobility_raw_[i];
-      m->advance(cfg_.step);
-      positions_[i] = m->position();
-    }
-  };
-  ttl_classify_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      const ExpiryEvent& e = due_scratch_[k];
-      const Node& n = *nodes_[e.node];
-      ttl_verdicts_[k] = TtlVerdict{n.buffer().has(e.msg), n.is_pinned(e.msg)};
-    }
-  };
-  // Fused k-step mobility advance for quiet batches. Chunk-robust: the
-  // inline for_each path hands the whole [0, n) range as one call, so the
-  // kernel re-derives kMobilityGrain-sized chunks itself (dispatch chunks
-  // are always grain-aligned, making the two tilings coincide).
-  quiet_kernel_ = [this](std::size_t begin, std::size_t end) {
-    const std::vector<Vec2>& prev = tracker_.prev_positions();
-    for (std::size_t c = begin / kMobilityGrain; c * kMobilityGrain < end;
-         ++c) {
-      const std::size_t b = c * kMobilityGrain;
-      const std::size_t e = std::min(end, b + kMobilityGrain);
-      double maxd2[kQuietBatchMax];
-      for (std::size_t j = 0; j < quiet_k_; ++j) maxd2[j] = 0.0;
-      for (std::size_t i = b; i < e; ++i) {
-        MobilityModel* m = mobility_raw_[i];
-        Vec2 p = prev[i];
-        for (std::size_t j = 0; j < quiet_k_; ++j) {
-          m->advance(cfg_.step);
-          const Vec2 q = m->position();
-          maxd2[j] = std::max(maxd2[j], distance2(p, q));
-          p = q;
-        }
-        positions_[i] = p;
-      }
-      for (std::size_t j = 0; j < quiet_k_; ++j) {
-        quiet_maxd2_[j * quiet_chunks_ + c] = maxd2[j];
-      }
-    }
-  };
+  tracker_.set_lanes(exec_.lanes());
 }
 
 void World::set_router(std::unique_ptr<Router> router) {
@@ -165,7 +123,7 @@ void World::prepare_capacity() {
         cap_bytes / static_cast<double>(std::max<std::int64_t>(tc.size, 1));
     const double est = std::min(by_rate, by_bytes) + static_cast<double>(n);
     slots = std::max(slots, static_cast<std::size_t>(std::min(
-                                est, static_cast<double>(1u << 18))));
+                                est, static_cast<double>(kArenaReserveMax))));
   }
   arena_.reserve(slots);
   // Per-node handle spans: a span only reallocates on powers of two, and
@@ -222,74 +180,33 @@ PolicyContext World::ctx_for(const Node& n) const {
   return ctx;
 }
 
-void World::advance_mobility() {
-  // Advancing also samples the post-move position into positions_ — the
-  // tracker input. Each mobility model owns its private RNG stream, so
-  // per-node advancement is order-free and safe to shard.
-  const std::size_t n = nodes_.size();
-  positions_.resize(n);
-  if (exec_ != nullptr) {
-    exec_->for_each(n, kMobilityGrain, mobility_kernel_);
-  } else {
-    mobility_kernel_(0, n);
+void World::advance_mobility(std::size_t begin, std::size_t end) {
+  // Each mobility model owns its private RNG stream, so per-node
+  // advancement is order-free and safe to shard.
+  for (std::size_t i = begin; i < end; ++i) {
+    MobilityModel* m = mobility_raw_[i];
+    m->advance(cfg_.step);
+    positions_[i] = m->position();
   }
 }
 
-bool World::graph_eligible() const {
-  // The graph body requires the event-driven core (the legacy scans have
-  // no phase structure worth overlapping). Faults and observers are fine:
-  // every externally visible event fires from serial nodes — or the
-  // caller — in exact serial order.
-  return exec_ != nullptr && !cfg_.legacy_step;
+void World::stamp(double& acc) {
+  if (!stamp_phases_) return;
+  const double t = wall_now();
+  acc += t - stamp_t0_;
+  stamp_t0_ = t;
 }
 
 void World::step() {
   DTN_REQUIRE(nodes_.size() >= 2, "World: need at least two nodes to run");
   if (!kinetics_configured_) configure_kinetics();
-  if (graph_eligible()) {
-    if (!graph_built_) build_step_graph();
-    step_graph();
-  } else {
-    step_serial();
-  }
-}
-
-void World::step_serial() {
-  const bool prof = cfg_.profile_phases;
-  double t0 = prof ? wall_now() : 0.0;
-  const auto stamp = [&](double& acc) {
-    if (prof) {
-      const double t1 = wall_now();
-      acc += t1 - t0;
-      t0 = t1;
-    }
-  };
   now_ += cfg_.step;
-  advance_mobility();  // also refills positions_
-  stamp(profile_.mobility_s);
-  const ContactChurn& churn = tracker_.update(positions_);
-
-  if (fault_ == nullptr) {
-    for (const NodePair& p : churn.went_down) process_link_down(p);
-    for (const NodePair& p : churn.went_up) process_link_up(p);
+  positions_.resize(nodes_.size());
+  if (cfg_.legacy_step) {
+    step_legacy();
   } else {
-    // Fault events land first so the availability flags are current for
-    // this step; the live-set diff then replaces the raw tracker churn —
-    // geometric and fault-induced link changes flow through the same
-    // process_link_down/up handlers, in the same sorted order, in both
-    // step modes, so legacy parity is structural.
-    apply_fault_events();
-    refresh_live_contacts();
+    step_graph();
   }
-  stamp(profile_.contacts_s);
-
-  complete_due_transfers();
-  if (gen_ != nullptr) generate_traffic();
-  stamp(profile_.events_s);
-  purge_ttl();
-  stamp(profile_.ttl_s);
-  start_transfers();
-  stamp(profile_.transfers_s);
   ++profile_.steps;
 
   if (now_ + 1e-9 >= next_occupancy_sample_) {
@@ -299,20 +216,44 @@ void World::step_serial() {
   notify([this](WorldObserver& o) { o.on_step_end(*this); });
 }
 
+void World::step_legacy() {
+  stamp_phases_ = cfg_.profile_phases;
+  if (stamp_phases_) stamp_t0_ = wall_now();
+  advance_mobility(0, nodes_.size());
+  stamp(profile_.mobility_s);
+  const ContactChurn& churn = tracker_.update(positions_);
+  if (fault_ == nullptr) {
+    for (const NodePair& p : churn.went_down) process_link_down(p);
+    for (const NodePair& p : churn.went_up) process_link_up(p);
+  } else {
+    // Same structure as apply_step_events: fault events first, then the
+    // live-set diff replaces the raw tracker churn.
+    apply_fault_events();
+    refresh_live_contacts();
+  }
+  stamp(profile_.contacts_s);
+  scan_completions();
+  if (gen_ != nullptr) {
+    gen_->poll(now_, traffic_scratch_);
+    admit_traffic();
+  }
+  stamp(profile_.events_s);
+  scan_ttl();
+  stamp(profile_.ttl_s);
+  start_transfers();
+  stamp(profile_.transfers_s);
+}
+
 void World::build_step_graph() {
   graph_built_ = true;
   // Node ids are added in topological order; the single-lane drain then
-  // sweeps them in exact serial-phase order. Kernels capture only `this`.
+  // sweeps them in exactly this order, each node stamping its phase.
+  // Kernels capture only `this`.
   g_mob_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          MobilityModel* m = mobility_raw_[i];
-          m->advance(cfg_.step);
-          positions_[i] = m->position();
-        }
+        advance_mobility(begin, end);
         if (mob_want_disp_) {
-          // Fused displacement reduce: the serial path's separate sweep
-          // in ContactTracker::update, folded into the mobility chunk.
+          // Fused displacement reduce for the tracker's skip decision.
           // Graph chunks are grain-aligned, so begin / grain is the
           // chunk index.
           const std::vector<Vec2>& prev = tracker_.prev_positions();
@@ -322,10 +263,12 @@ void World::build_step_graph() {
           }
           mob_chunk_maxd2_[begin / kMobilityGrain] = m2;
         }
+        stamp(profile_.mobility_s);
       },
       kMobilityGrain);
   g_eta_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
     pop_due_etas();
+    stamp(profile_.events_s);
   });
   g_poll_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
     // The generator's schedule depends only on its own state, never on
@@ -336,18 +279,27 @@ void World::build_step_graph() {
     } else {
       traffic_scratch_.clear();
     }
+    stamp(profile_.events_s);
   });
   g_plan_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { plan_contacts(); }, {g_mob_});
+      [this](std::size_t, std::size_t) {
+        plan_contacts();
+        stamp(profile_.contacts_s);
+      },
+      {g_mob_});
   g_track_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
           tracker_.run_shard(s, positions_);
         }
+        stamp(profile_.contacts_s);
       },
       /*grain=*/1, {g_plan_});
   g_merge_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { merge_contacts_and_shard_imt(); },
+      [this](std::size_t, std::size_t) {
+        merge_contacts_and_shard_imt();
+        stamp(profile_.contacts_s);
+      },
       {g_track_});
   g_imt_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) { run_imt_groups(begin, end); },
@@ -357,44 +309,47 @@ void World::build_step_graph() {
       {g_imt_, g_eta_, g_poll_});
   g_verdict_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) {
-        ttl_classify_kernel_(begin, end);
+        for (std::size_t k = begin; k < end; ++k) {
+          const ExpiryEvent& e = due_scratch_[k];
+          const Node& n = *nodes_[e.node];
+          ttl_verdicts_[k] =
+              TtlVerdict{n.buffer().has(e.msg), n.is_pinned(e.msg)};
+        }
       },
       kTtlGrain, {g_apply_});
   g_ttl_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { apply_ttl(ttl_parallel_); },
+      [this](std::size_t, std::size_t) {
+        apply_ttl(ttl_parallel_);
+        stamp(profile_.ttl_s);
+      },
       {g_verdict_});
 }
 
 void World::step_graph() {
-  const bool prof = cfg_.profile_phases;
-  now_ += cfg_.step;
+  if (!graph_built_) build_step_graph();
   const std::size_t n = nodes_.size();
-  positions_.resize(n);
   step_graph_.set_items(g_mob_, n);
   mob_want_disp_ = tracker_.wants_displacement(n);
   if (mob_want_disp_) {
     mob_chunk_maxd2_.assign((n + kMobilityGrain - 1) / kMobilityGrain, 0.0);
   }
-  double t0 = prof ? wall_now() : 0.0;
-  exec_->run(step_graph_);
-  if (prof) {
-    const double t1 = wall_now();
-    profile_.dispatch_s += t1 - t0;
-    t0 = t1;
-  }
+  // At one lane the graph runs its nodes in id order on this thread, so
+  // the node bodies stamp their own phases. With more lanes the phases
+  // overlap, and the whole run is charged to dispatch_s.
+  const bool prof = cfg_.profile_phases;
+  const bool one_lane = exec_.lanes() == 1;
+  stamp_phases_ = prof && one_lane;
+  if (prof) stamp_t0_ = wall_now();
+  exec_.run(step_graph_);
+  stamp_phases_ = prof;
+  if (!one_lane) stamp(profile_.dispatch_s);
   start_transfers();
-  if (prof) profile_.transfers_s += wall_now() - t0;
-  ++profile_.steps;
-
-  if (now_ + 1e-9 >= next_occupancy_sample_) {
-    sample_occupancy();
-    next_occupancy_sample_ += cfg_.occupancy_sample_interval;
-  }
-  notify([this](WorldObserver& o) { o.on_step_end(*this); });
+  stamp(profile_.transfers_s);
 }
 
 void World::plan_contacts() {
-  // Exact replication of the serial displacement reduce: max over nodes
+  // Exact replication of ContactTracker::update's displacement reduce:
+  // max over nodes
   // in index order == max over chunk maxima in chunk order (max is
   // exactly associative), so the skip/full-pass decision and the charged
   // budget are bit-identical.
@@ -417,8 +372,10 @@ void World::merge_contacts_and_shard_imt() {
   // node's estimator mid-churn. Each node's events keep their serial
   // relative order (seq), and estimator + cache-stamp state is node-local,
   // so the pre-pass commutes with everything the serial loop interleaves.
+  // It only pays with a second lane to run it on; inline it would just
+  // add a sort.
   const bool hoist =
-      fault_ == nullptr && observers_.empty() &&
+      exec_.lanes() > 1 && fault_ == nullptr && observers_.empty() &&
       !(step_churn_->went_down.empty() && step_churn_->went_up.empty());
   if (!hoist) {
     step_graph_.set_items(g_imt_, 0);
@@ -474,114 +431,28 @@ void World::apply_step_events() {
     for (const NodePair& p : step_churn_->went_up) process_link_up(p);
     imt_prehandled_ = false;
   } else {
-    // Same structure as step_serial: fault events first, then the
-    // live-set diff replaces the raw tracker churn.
+    // Fault events land first so the availability flags are current for
+    // this step; the live-set diff then replaces the raw tracker churn —
+    // geometric and fault-induced link changes flow through the same
+    // process_link_down/up handlers, in the same sorted order, in both
+    // step modes, so legacy parity is structural.
     apply_fault_events();
     refresh_live_contacts();
   }
+  stamp(profile_.contacts_s);
   apply_completions();
   if (gen_ != nullptr) admit_traffic();
+  stamp(profile_.events_s);
   drain_due_ttl();
-  ttl_parallel_ =
-      !due_scratch_.empty() && due_scratch_.size() >= kTtlParallelMin;
-  if (ttl_parallel_) {
-    ttl_verdicts_.resize(due_scratch_.size());
-    step_graph_.set_items(g_verdict_, due_scratch_.size());
-  } else {
-    step_graph_.set_items(g_verdict_, 0);
-  }
+  // The verdict fan-out only pays on a second lane.
+  ttl_parallel_ = exec_.lanes() > 1 && due_scratch_.size() >= kTtlParallelMin;
+  if (ttl_parallel_) ttl_verdicts_.resize(due_scratch_.size());
+  step_graph_.set_items(g_verdict_, ttl_parallel_ ? due_scratch_.size() : 0);
+  stamp(profile_.ttl_s);
 }
 
 void World::run_until(SimTime t) {
-  while (now_ + cfg_.step <= t + 1e-9) {
-    const std::size_t k = quiet_batch_limit(t);
-    if (k >= 2) {
-      run_quiet_batch(k);
-    } else {
-      step();
-    }
-  }
-}
-
-std::size_t World::quiet_batch_limit(SimTime t) const {
-  // A batch of k steps is legal when each of those steps, run normally,
-  // would provably (a) produce empty churn (quiet_ready: skipping armed,
-  // no watch pairs; the budget covers k steps of worst-case motion),
-  // (b) start no transfer (no active contacts, and none can appear),
-  // (c) fire no completion / expiry / traffic / occupancy event, and
-  // (d) publish nothing (no observers). Such a step's entire effect is
-  // advancing mobility and charging the kinetic budget — which
-  // run_quiet_batch replays exactly, so the decision is state-pure and
-  // identical at any thread count.
-  if (cfg_.legacy_step || fault_ != nullptr || !kinetics_configured_) return 0;
-  if (!observers_.empty() || nodes_.size() < 2) return 0;
-  const std::size_t n = nodes_.size();
-  if (!tracker_.quiet_ready(n)) return 0;
-  if (!tracker_.current().empty() || !transfers_.empty()) return 0;
-  const double bound = tracker_.motion_bound();
-  if (bound < 0.0) return 0;
-  const double budget = tracker_.kinetic_budget();
-  std::size_t k = 0;
-  SimTime next = now_;
-  while (k < kQuietBatchMax) {
-    const SimTime cand = next + cfg_.step;
-    if (cand > t + 1e-9) break;
-    // Worst-case cumulative charge, with headroom dominating the
-    // per-charge kBudgetEps guards (1e-6 >> 32 * 1e-9).
-    if (2.0 * bound * static_cast<double>(k + 1) + 1e-6 > budget) break;
-    if (!expiry_heap_.empty() && expiry_heap_.front().expiry <= cand) break;
-    // Tombstoned ETA entries break the batch too: a normal step would
-    // pop (and discard) them, and leaving heaps to diverge from the
-    // serial trajectory — while digest-invisible — costs nothing here.
-    if (!eta_heap_.empty() && eta_heap_.front().eta <= cand + 1e-9) break;
-    if (gen_ != nullptr && gen_->next_due() <= cand &&
-        gen_->next_due() <= gen_->config().stop) {
-      break;
-    }
-    if (cand + 1e-9 >= next_occupancy_sample_) break;
-    next = cand;
-    ++k;
-  }
-  if (k == 0) return 0;
-  // External teleports (tests nudging a StationaryModel between runs)
-  // invalidate the advertised bound without an advance() call. The
-  // tracker's reference snapshot is bit-identical to the models' current
-  // positions unless someone moved one out-of-band — in that case fall
-  // back to a normal step, whose full-pass path absorbs teleports.
-  const std::vector<Vec2>& prev = tracker_.prev_positions();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Vec2 p = mobility_raw_[i]->position();
-    if (p.x != prev[i].x || p.y != prev[i].y) return 0;
-  }
-  return k;
-}
-
-void World::run_quiet_batch(std::size_t k) {
-  const std::size_t n = nodes_.size();
-  positions_.resize(n);
-  quiet_k_ = k;
-  quiet_chunks_ = (n + kMobilityGrain - 1) / kMobilityGrain;
-  quiet_maxd2_.assign(k * quiet_chunks_, 0.0);
-  if (exec_ != nullptr) {
-    exec_->for_each(n, kMobilityGrain, quiet_kernel_);
-  } else {
-    quiet_kernel_(0, n);
-  }
-  // Charge each fused step's exact observed displacement in step order —
-  // the same (exactly associative) max reduce and the same budget
-  // decrements an unbatched run performs, so updates_ / budget / digest
-  // trajectories are bit-identical. charge_quiet_step's DTN_REQUIRE turns
-  // a mobility model overshooting its advertised bound into a crash
-  // instead of silent contact corruption.
-  for (std::size_t j = 0; j < k; ++j) {
-    double max_d2 = 0.0;
-    for (std::size_t c = 0; c < quiet_chunks_; ++c) {
-      max_d2 = std::max(max_d2, quiet_maxd2_[j * quiet_chunks_ + c]);
-    }
-    tracker_.charge_quiet_step(max_d2);
-    now_ += cfg_.step;  // repeated add: bit-exact vs. k unbatched steps
-  }
-  tracker_.commit_positions(positions_);
+  while (now_ + cfg_.step <= t + 1e-9) step();
 }
 
 void World::run() { run_until(cfg_.duration); }
@@ -819,30 +690,20 @@ void World::abort_transfer_from(NodeId from_id, NodeId to_id) {
   remove_transfer(t.from);
 }
 
-void World::complete_due_transfers() {
-  if (cfg_.legacy_step) {
-    // Completion order: by eta, then sender id — deterministic.
-    legacy_due_.clear();
-    for (const Transfer& t : transfers_) {
-      if (t.eta <= now_ + 1e-9) legacy_due_.push_back(t);
-    }
-    std::sort(legacy_due_.begin(), legacy_due_.end(),
-              [](const Transfer& a, const Transfer& b) {
-                if (a.eta != b.eta) return a.eta < b.eta;
-                return a.from < b.from;
-              });
-    for (const Transfer& t : legacy_due_) remove_transfer(t.from);
-    for (const Transfer& t : legacy_due_) handle_completion(t);
-    return;
+void World::scan_completions() {
+  // Completion order: by eta, then sender id — the order the event path's
+  // ETA heap pops in.
+  legacy_due_.clear();
+  for (const Transfer& t : transfers_) {
+    if (t.eta <= now_ + 1e-9) legacy_due_.push_back(t);
   }
-  // Event-driven path: drain the ETA heap, which pops in exactly the
-  // legacy (eta, from) order. Stale entries — transfers aborted since
-  // they were scheduled — fail the seq check and are discarded.
-  // Interleaving removal with handling is equivalent to the legacy
-  // remove-all-then-handle: a completion handler never reads other
-  // in-flight transfers, and pinned sender copies are eviction-immune.
-  pop_due_etas();
-  apply_completions();
+  std::sort(legacy_due_.begin(), legacy_due_.end(),
+            [](const Transfer& a, const Transfer& b) {
+              if (a.eta != b.eta) return a.eta < b.eta;
+              return a.from < b.from;
+            });
+  for (const Transfer& t : legacy_due_) remove_transfer(t.from);
+  for (const Transfer& t : legacy_due_) handle_completion(t);
 }
 
 void World::pop_due_etas() {
@@ -860,6 +721,11 @@ void World::pop_due_etas() {
 }
 
 void World::apply_completions() {
+  // Pops in exactly the legacy (eta, from) order. Stale entries —
+  // transfers aborted since they were scheduled — fail the seq check and
+  // are discarded. Interleaving removal with handling is equivalent to the
+  // legacy remove-all-then-handle: a completion handler never reads other
+  // in-flight transfers, and pinned sender copies are eviction-immune.
   for (const EtaEvent& e : eta_due_scratch_) {
     const std::int64_t idx = outgoing_[e.from];
     if (idx < 0 || transfers_[static_cast<std::size_t>(idx)].seq != e.seq) {
@@ -973,11 +839,6 @@ void World::handle_completion(const Transfer& t) {
   }
 }
 
-void World::generate_traffic() {
-  gen_->poll(now_, traffic_scratch_);
-  admit_traffic();
-}
-
 void World::admit_traffic() {
   for (Message& m : traffic_scratch_) {
     ++stats_.created;
@@ -1007,47 +868,33 @@ void World::admit_traffic() {
   }
 }
 
-void World::purge_ttl() {
-  if (cfg_.legacy_step) {
-    for (auto& n : nodes_) {
-      for (const Message& dead :
-           n->buffer().purge_expired(now_, n->pinned())) {
-        n->priority_cache().invalidate(dead.id);
-        registry_.on_copy_removed(dead.id, n->id(), /*dropped=*/false);
-        ++stats_.ttl_expired;
-        notify(
-            [&](WorldObserver& o) { o.on_ttl_expired(n->id(), dead, now_); });
-      }
+void World::scan_ttl() {
+  for (auto& n : nodes_) {
+    for (const Message& dead : n->buffer().purge_expired(now_, n->pinned())) {
+      n->priority_cache().invalidate(dead.id);
+      registry_.on_copy_removed(dead.id, n->id(), /*dropped=*/false);
+      ++stats_.ttl_expired;
+      notify([&](WorldObserver& o) { o.on_ttl_expired(n->id(), dead, now_); });
     }
-    return;
   }
-  // Event-driven path: only due entries are touched. A popped entry may
-  // be stale (the copy was dropped, forwarded away or already purged —
-  // lazy invalidation) or pinned by an in-flight transfer (the legacy
-  // scan skips those too; re-queue and retry next step). Per-step purge
-  // *order* differs from the legacy per-node scan, but every removal
-  // lands in order-insensitive state (buffer membership, registry sets,
-  // counters), so the end-of-step digest is identical.
-  //
-  // The due batch is drained first and applied second so the resident /
-  // pinned classification — the only per-entry reads — can fan out over
-  // the executor. The verdicts stay valid through the serial apply: a
-  // purge only changes `has` for its own (node, msg), and duplicate
-  // entries for one (node, msg) carry the same expiry (created + ttl is
-  // immutable per id), so they pop adjacently and inherit the first
-  // entry's outcome exactly as the interleaved serial loop would produce.
-  drain_due_ttl();
-  if (due_scratch_.empty()) return;
-  const bool parallel =
-      exec_ != nullptr && due_scratch_.size() >= kTtlParallelMin;
-  if (parallel) {
-    ttl_verdicts_.resize(due_scratch_.size());
-    exec_->for_each(due_scratch_.size(), kTtlGrain, ttl_classify_kernel_);
-  }
-  apply_ttl(parallel);
 }
 
 void World::drain_due_ttl() {
+  // Only due entries are touched. A popped entry may be stale (the copy
+  // was dropped, forwarded away or already purged — lazy invalidation) or
+  // pinned by an in-flight transfer (the legacy scan skips those too;
+  // re-queue and retry next step). Per-step purge *order* differs from the
+  // legacy per-node scan, but every removal lands in order-insensitive
+  // state (buffer membership, registry sets, counters), so the end-of-step
+  // digest is identical.
+  //
+  // The due batch is drained first and applied second so the resident /
+  // pinned classification — the only per-entry reads — can fan out over
+  // the lanes. The verdicts stay valid through the serial apply: a purge
+  // only changes `has` for its own (node, msg), and duplicate entries for
+  // one (node, msg) carry the same expiry (created + ttl is immutable per
+  // id), so they pop adjacently and inherit the first entry's outcome
+  // exactly as an interleaved serial loop would produce.
   expiry_deferred_.clear();
   due_scratch_.clear();
   while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now_) {
@@ -1182,14 +1029,14 @@ bool World::inject_message(Message m) {
   if (fault_ != nullptr && !fault_->is_up(src)) {
     ++stats_.source_rejected;
     registry_.on_copy_removed(id, src, /*dropped=*/true);
-    return false;  // mirror generate_traffic: a down source loses the message
+    return false;  // mirror admit_traffic: a down source loses the message
   }
   Node& source = node(src);
   Node::AdmitResult res = source.admit(std::move(m), ctx_for(source));
   if (!res.admitted) {
     ++stats_.source_rejected;
     registry_.on_copy_removed(id, src, /*dropped=*/true);
-    // Mirror generate_traffic: a source-side rejection is a local drop —
+    // Mirror admit_traffic: a source-side rejection is a local drop —
     // SDSRP's d̂_i must not depend on how the message entered the world.
     if (policy_->uses_dropped_list()) source.record_drop(id, now_);
     return false;
@@ -1324,7 +1171,7 @@ void World::save_state(snapshot::ArchiveWriter& out) const {
         });
     // v5: arena sizing hints — a restored run pre-sizes its slabs to the
     // interrupted run's population instead of re-growing them. Derived
-    // state: never hashed, informational on read.
+    // state: never hashed; validated and clamped on read.
     out.u64(arena_.high_water());
     out.u64(arena_.free_count());
   }
@@ -1395,9 +1242,18 @@ void World::load_state(snapshot::ArchiveReader& in) {
     }
   }
   if (in.version() >= 5) {
+    // A sizing hint only, but still hostile input: it must satisfy the
+    // arena identity high_water == live + free (live = the copies just
+    // restored into the buffers), and the reservation is clamped like
+    // prepare_capacity's estimate.
     const std::uint64_t high_water = in.u64();
-    in.u64();  // free count: informational
-    arena_.reserve(high_water);
+    const std::uint64_t free_count = in.u64();
+    DTN_REQUIRE(free_count <= high_water &&
+                    high_water - free_count == arena_.live_count(),
+                "load_state: arena sizing hint contradicts the restored "
+                "buffers (high_water != live + free)");
+    arena_.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(high_water, kArenaReserveMax)));
   }
   in.end_section();
   rebuild_event_queues();

@@ -60,20 +60,22 @@ struct WorldConfig {
   /// Escape hatch: run the original scan-based step loop (full-buffer TTL
   /// scans, transfer-vector scans, a full contact pass every step)
   /// instead of the event-driven core (DESIGN.md §9: expiry/ETA heaps +
-  /// kinetic contact skipping). Both paths are decision-identical —
-  /// `World::digest()` trajectories match bit-for-bit — so this exists
-  /// for the equivalence tests and benchmarks, not as a feature switch.
+  /// kinetic contact skipping). The scan loop is fully serial and ignores
+  /// `threads`: it is the independent reference the event-driven step
+  /// graph is checked against — `World::digest()` trajectories match
+  /// bit-for-bit — so this exists for the equivalence tests and
+  /// benchmarks, not as a feature switch.
   bool legacy_step = false;
   /// Intra-step parallelism (DESIGN.md §11/§16): execution-lane count
-  /// (including the caller) for the persistent-worker task-graph step
-  /// executor — mobility advance, contact candidate enumeration,
-  /// watch-pair rechecks, contact-event estimator updates and TTL
-  /// candidate classification all become dependency nodes
-  /// of one per-step graph dispatched with a single epoch bump.
-  /// 0 (the default) runs the serial reference step loop; any value
-  /// produces bit-identical digest trajectories — the parallel phases
-  /// only reorder *computation*, never *application*, and every merge
-  /// is a deterministic concatenation or an exact min/max reduction.
+  /// (including the caller) for the event-driven step graph — mobility
+  /// advance, contact candidate enumeration, watch-pair rechecks,
+  /// contact-event estimator updates and TTL candidate classification
+  /// are dependency nodes of one per-step graph dispatched with a single
+  /// epoch bump. 0 (the default) and 1 both mean one inline lane: the
+  /// graph runs its nodes in id order on the calling thread. Any value
+  /// produces bit-identical digest trajectories — extra lanes only
+  /// reorder *computation*, never *application*, and every merge is a
+  /// deterministic concatenation or an exact min/max reduction.
   /// Scenario key: `Parallel.threads`.
   std::size_t threads = 0;
   /// Per-phase wall-clock accounting (PhaseProfile, bench support). Off
@@ -82,17 +84,19 @@ struct WorldConfig {
 };
 
 /// Cumulative wall-clock seconds per step phase (profile_phases only).
-/// The serial path stamps its five phases individually; the task-graph
-/// path folds the graph-resident phases into dispatch_s (the phases
-/// overlap in time there, so per-phase walls would double-count).
+/// At one lane (threads 0 or 1) the step graph runs its nodes in id
+/// order on the caller, and each node stamps its own phase; the legacy
+/// scan loop stamps the same fields. With more lanes the graph-resident
+/// phases overlap in time (per-phase walls would double-count), so the
+/// whole graph run is folded into dispatch_s instead.
 struct PhaseProfile {
-  double mobility_s = 0.0;   ///< mobility advance (serial path)
-  double contacts_s = 0.0;   ///< tracker update + link churn (serial path)
-  double events_s = 0.0;     ///< completions + traffic (serial path)
-  double ttl_s = 0.0;        ///< TTL purge (serial path)
+  double mobility_s = 0.0;   ///< mobility advance (one lane / legacy)
+  double contacts_s = 0.0;   ///< tracker + link churn (one lane / legacy)
+  double events_s = 0.0;     ///< completions + traffic (one lane / legacy)
+  double ttl_s = 0.0;        ///< TTL purge (one lane / legacy)
   double prewarm_s = 0.0;    ///< always 0; retained for readers of the struct
-  double transfers_s = 0.0;  ///< start_transfers (both paths)
-  double dispatch_s = 0.0;   ///< task-graph run(), graph path only
+  double transfers_s = 0.0;  ///< start_transfers (always)
+  double dispatch_s = 0.0;   ///< whole graph run, more than one lane only
   std::uint64_t steps = 0;
 };
 
@@ -216,45 +220,46 @@ class World {
   static bool eta_after(const EtaEvent& a, const EtaEvent& b);
 
   // --- step bodies (dispatch in step()) ---
-  /// The serial reference step: phases run strictly in order. Used when
-  /// cfg.threads == 0 and for the legacy (scan-based) step variant; with
-  /// an executor attached, the mobility / tracker / TTL phases
-  /// still fan out via for_each, but every phase is a barrier.
-  void step_serial();
-  /// The task-graph step (DESIGN.md §16): the same phases as dependency
+  /// The scan-based reference step (cfg.legacy_step): fully serial —
+  /// mobility, tracker update, link churn, scan completions, traffic,
+  /// scan TTL, start_transfers.
+  void step_legacy();
+  /// The event-driven step (DESIGN.md §16): the phases are dependency
   /// nodes of one graph dispatched with a single epoch bump, so
   /// independent phases overlap instead of barriering. Decision- and
-  /// digest-identical to step_serial at any lane count.
+  /// digest-identical to step_legacy at any lane count.
   void step_graph();
   /// Builds the step graph once (kernels capture `this`; per-step item
   /// counts are refreshed by the planning nodes via set_items).
   void build_step_graph();
-  /// True when the step graph may run this step: event-driven core, no
-  /// faults. (Observers are fine: every observer-visible event fires from
-  /// serial nodes or the caller in serial order.)
-  bool graph_eligible() const;
   // Graph-node bodies (see build_step_graph for the dependency shape).
   void plan_contacts();                 ///< g_plan_: reduce + tracker plan
   void merge_contacts_and_shard_imt();  ///< g_merge_
   void run_imt_groups(std::size_t begin, std::size_t end);  ///< g_imt_
   void apply_step_events();             ///< g_apply_
+  /// Charges the wall time since the previous stamp to `acc` and restarts
+  /// the clock; a no-op unless stamp_phases_ (see PhaseProfile).
+  void stamp(double& acc);
 
-  void advance_mobility();
+  /// Advances mobility for nodes [begin, end) and samples the post-move
+  /// positions into positions_ (the tracker input).
+  void advance_mobility(std::size_t begin, std::size_t end);
   void process_link_down(const NodePair& p);
   void process_link_up(const NodePair& p);
   void abort_transfers_on(const NodePair& p);
   void abort_transfer_from(NodeId from, NodeId to);
-  void complete_due_transfers();
+  /// Legacy scan: completes every due transfer in (eta, from) order.
+  void scan_completions();
   void handle_completion(const Transfer& t);
-  void generate_traffic();
-  void purge_ttl();
-  // --- event-phase helpers shared by both step bodies ---
+  /// Legacy scan: purges expired copies node by node.
+  void scan_ttl();
+  // --- event-phase helpers (graph nodes) ---
   /// Pops every eta-heap entry due at now_ (tombstones included) into
   /// eta_due_scratch_ in heap-pop order. Safe to run before link churn:
   /// aborts never touch the heap, and validity (outgoing_/seq match) is
-  /// checked at apply time, exactly like the interleaved serial drain.
+  /// checked at apply time.
   void pop_due_etas();
-  /// Applies eta_due_scratch_ in pop order (the serial completion order).
+  /// Applies eta_due_scratch_ in pop order (the legacy completion order).
   void apply_completions();
   /// Admits traffic_scratch_ (filled by MessageGenerator::poll) in order.
   void admit_traffic();
@@ -302,28 +307,15 @@ class World {
   /// configure_kinetics).
   void prepare_capacity();
 
-  // --- quiet-step batching (run_until, DESIGN.md §16) ---
-  /// How many whole steps (0..kQuietBatchMax) can provably pass no
-  /// event before `t`: empty watch set, kinetic budget covering
-  /// worst-case motion, no transfer/expiry/traffic/occupancy deadline
-  /// inside the window. 0 disables batching for this iteration.
-  std::size_t quiet_batch_limit(SimTime t) const;
-  /// Advances mobility k steps fused in one parallel sweep, charging the
-  /// tracker's kinetic budget per step with the exact per-step observed
-  /// displacement — updates_/budget trajectories are bit-identical to k
-  /// unbatched steps (which would each early-out everywhere else).
-  void run_quiet_batch(std::size_t k);
-
   template <typename Fn>
   void notify(Fn&& fn) {
     for (WorldObserver* o : observers_) fn(*o);
   }
 
   WorldConfig cfg_;
-  /// Persistent-worker executor for the intra-step parallel phases and
-  /// the step task graph; nullptr when cfg_.threads == 0 (the serial
-  /// reference path).
-  std::unique_ptr<TaskExecutor> exec_;
+  /// Persistent-worker executor running the step graph: max(threads, 1)
+  /// lanes, so one lane when threads is 0 or 1.
+  TaskExecutor exec_;
   SimTime now_ = 0.0;
   std::vector<WorldObserver*> observers_;
   std::unique_ptr<Router> router_;
@@ -367,9 +359,9 @@ class World {
     bool has = false;
     bool pinned = false;
   };
-  std::vector<ExpiryEvent> due_scratch_;   ///< purge_ttl: due batch, pop order
-  std::vector<TtlVerdict> ttl_verdicts_;   ///< purge_ttl: parallel verdicts
-  std::vector<Message> traffic_scratch_;   ///< generate_traffic: poll output
+  std::vector<ExpiryEvent> due_scratch_;   ///< TTL: due batch, pop order
+  std::vector<TtlVerdict> ttl_verdicts_;   ///< TTL: parallel verdicts
+  std::vector<Message> traffic_scratch_;   ///< MessageGenerator::poll output
   std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
   std::vector<MessageId> doomed_scratch_;  ///< purge_acked / purge_on_reboot
@@ -404,16 +396,9 @@ class World {
   bool imt_prehandled_ = false;  ///< g_imt_ ran: churn skips note_contact_*
   const ContactChurn* step_churn_ = nullptr;  ///< g_merge_ -> g_apply_
   bool ttl_parallel_ = false;    ///< g_apply_ -> g_ttl_: use ttl_verdicts_
-  std::vector<double> quiet_maxd2_;  ///< quiet batch: step × chunk maxima
-  std::size_t quiet_k_ = 0;          ///< quiet batch: steps fused
-  std::size_t quiet_chunks_ = 0;     ///< quiet batch: chunk count
-  /// Preallocated dispatch kernels (set once in the constructor; capture
-  /// only `this`, so neither construction nor invocation allocates —
-  /// the zero-steady-state-allocation tests cover the whole step loop).
-  TaskKernel mobility_kernel_;     ///< advance + position sample
-  TaskKernel ttl_classify_kernel_; ///< due_scratch_ -> ttl_verdicts_
-  TaskKernel quiet_kernel_;        ///< fused k-step mobility advance
   PhaseProfile profile_;
+  bool stamp_phases_ = false;  ///< stamp() live this step (see PhaseProfile)
+  double stamp_t0_ = 0.0;      ///< wall clock at the previous stamp
 
   /// Keyed by the *directional* (from, to) pair, unlike the sorted
   /// NodePair convention elsewhere; serialization iterates in sorted key

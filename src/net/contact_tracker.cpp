@@ -21,21 +21,12 @@ constexpr std::size_t kMinShardItems = 64;
 
 ContactTracker::ContactTracker(double range) : range_(range), grid_(range) {
   DTN_REQUIRE(range > 0.0, "ContactTracker: range must be positive");
-  // Preallocated dispatch kernel for update(): for_each hands contiguous
-  // shard ranges; stage_positions_ carries the frame's positions without
-  // a per-call capture allocation.
-  shard_kernel_ = [this](std::size_t begin, std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) run_shard(s, *stage_positions_);
-  };
 }
 
 void ContactTracker::set_motion_bound(double bound) {
-  // Record the advertised bound first: quiet-batch sizing reads it even
-  // when the derived slack (and thus the budget) is unchanged.
-  bound_ = std::isfinite(bound) && bound >= 0.0 ? bound : -1.0;
   double slack = 0.0;
-  if (bound_ >= 0.0) {
-    slack = bound_ == 0.0 ? range_ : std::min(range_, kSlackSteps * bound_);
+  if (std::isfinite(bound) && bound >= 0.0) {
+    slack = bound == 0.0 ? range_ : std::min(range_, kSlackSteps * bound);
   }
   if (slack == slack_) return;  // unchanged: keep any (restored) budget
   slack_ = slack;
@@ -51,21 +42,15 @@ const ContactChurn& ContactTracker::update(const std::vector<Vec2>& positions) {
     }
   }
   plan_update(positions, max_d2);
-  if (exec_ != nullptr && exec_->lanes() > 1 && stage_shards_ > 1) {
-    stage_positions_ = &positions;
-    exec_->for_each(stage_shards_, 1, shard_kernel_);
-    stage_positions_ = nullptr;
-  } else {
-    for (std::size_t s = 0; s < stage_shards_; ++s) run_shard(s, positions);
-  }
+  for (std::size_t s = 0; s < stage_shards_; ++s) run_shard(s, positions);
   return finish_update();
 }
 
 std::size_t ContactTracker::shard_count(std::size_t n) const {
-  if (exec_ == nullptr || exec_->lanes() <= 1) return 1;
+  if (lanes_ <= 1) return 1;
   // At least kMinShardItems of work per shard, at most 2 shards per
   // lane (a little imbalance slack without flooding the queue).
-  return std::min(exec_->lanes() * 2,
+  return std::min(lanes_ * 2,
                   std::max<std::size_t>(1, n / kMinShardItems));
 }
 
@@ -205,20 +190,6 @@ const ContactChurn& ContactTracker::finish_update() {
                                    range_ - std::sqrt(max_c2)))
           : 0.0;
   return churn_;
-}
-
-void ContactTracker::charge_quiet_step(double max_d2) {
-  ++updates_;
-  const double spent = 2.0 * std::sqrt(max_d2);
-  DTN_REQUIRE(spent + kBudgetEps <= budget_,
-              "quiet step: observed motion exceeds the kinetic budget "
-              "(mobility model moved faster than its advertised bound)");
-  budget_ -= spent;
-}
-
-void ContactTracker::commit_positions(const std::vector<Vec2>& positions) {
-  prev_ = positions;
-  have_prev_ = true;
 }
 
 void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {

@@ -31,7 +31,6 @@
 
 #include "src/geo/spatial_grid.hpp"
 #include "src/geo/vec2.hpp"
-#include "src/util/task_graph.hpp"
 
 namespace dtn {
 
@@ -69,26 +68,27 @@ class ContactTracker {
   /// restored tracker keeps its checkpointed budget.
   void set_motion_bound(double bound);
 
-  /// Optional intra-update parallelism (DESIGN.md §11/§16). When an
-  /// executor with helper lanes is attached, the candidate-pair
-  /// enumeration of a full pass and the exact recheck of the watch set
-  /// are sharded over contiguous index ranges; every shard's output is
-  /// locally sorted and the shards partition an ascending range, so
-  /// concatenating them reproduces the serial enumeration order
-  /// bit-for-bit. The returned churn, the current() set and the kinetic
-  /// budget are therefore identical at any lane count, including no
-  /// executor at all (the reference serial path). Pass nullptr to detach.
-  void set_executor(TaskExecutor* exec) { exec_ = exec; }
+  /// Sizes the staged update for `lanes` execution lanes (DESIGN.md
+  /// §11/§16; default 1). With more than one lane, plan_update splits the
+  /// candidate-pair enumeration of a full pass and the exact recheck of
+  /// the watch set into contiguous index-range shards for the caller to
+  /// dispatch; every shard's output is locally sorted and the shards
+  /// partition an ascending range, so concatenating them reproduces the
+  /// one-shard enumeration order bit-for-bit. The churn, the current()
+  /// set and the kinetic budget are therefore identical at any lane
+  /// count. The tracker never dispatches work itself.
+  void set_lanes(std::size_t lanes) { lanes_ = lanes; }
 
-  /// Processes one movement step; returns the link churn. Pair lists are
-  /// sorted, so downstream processing is deterministic. The returned
-  /// reference and the `current()` view stay valid until the next update.
-  /// Equivalent to plan_update + every run_shard + finish_update.
+  /// Processes one movement step inline on the caller; returns the link
+  /// churn. Pair lists are sorted, so downstream processing is
+  /// deterministic. The returned reference and the `current()` view stay
+  /// valid until the next update. Equivalent to plan_update + every
+  /// run_shard in order + finish_update.
   const ContactChurn& update(const std::vector<Vec2>& positions);
 
   // --- staged update (task-graph integration, DESIGN.md §16) ---
-  // World::step drives the same update as three dependency nodes so the
-  // parallel middle stage overlaps other step phases instead of
+  // The World's step graph drives the update as three dependency nodes
+  // so the parallel middle stage overlaps other step phases instead of
   // barriering on a nested dispatch:
   //   plan_update (serial)  — charges the kinetic budget, rebuilds the
   //                           grid when a full pass is due, sizes shards;
@@ -114,40 +114,11 @@ class ContactTracker {
   void run_shard(std::size_t s, const std::vector<Vec2>& positions);
   const ContactChurn& finish_update();
 
-  // --- quiet-step support (batched stepping, DESIGN.md §16) ---
-  // When the watch set is empty and the budget covers several steps of
-  // worst-case motion, no pair can change status for k steps: the caller
-  // may advance mobility k times without any tracker pass, charging each
-  // step's observed displacement. commit_positions replaces the
-  // reference snapshot at the end of the batch.
-
-  /// True when update() would provably produce empty churn for any step
-  /// whose displacement fits the budget: skipping is armed and there are
-  /// no boundary pairs to recheck.
-  bool quiet_ready(std::size_t n_nodes) const {
-    return wants_displacement(n_nodes) && watch_.empty();
-  }
-  /// Remaining kinetic budget in meters of pairwise-distance motion.
-  double kinetic_budget() const { return budget_; }
-  /// The advertised per-step motion bound (< 0: skipping disabled).
-  double motion_bound() const { return bound_; }
-  /// Books one skipped-without-recheck step: charges the observed
-  /// displacement against the budget exactly like update() would.
-  /// Precondition: the charge fits (caller sized the batch from
-  /// kinetic_budget() / motion_bound()).
-  void charge_quiet_step(double max_d2);
-  /// Replaces the reference positions after a quiet batch.
-  void commit_positions(const std::vector<Vec2>& positions);
-
   /// Positions at the previous update — the displacement reference for
-  /// wants_displacement()/quiet batches. Valid when have_prev (i.e.
-  /// wants_displacement/quiet_ready returned true); unlike the caller's
-  /// own position buffer it survives checkpoints, so batch sizing reads
-  /// it rather than a possibly-stale working copy.
+  /// wants_displacement(). Valid when wants_displacement() returned true.
   const std::vector<Vec2>& prev_positions() const { return prev_; }
 
-  /// FP guard margin used in budget comparisons (callers sizing quiet
-  /// batches must leave the same headroom).
+  /// FP guard margin used in budget comparisons.
   static constexpr double kBudgetEps = 1e-9;
 
   /// Pairs currently in contact (sorted ascending).
@@ -193,8 +164,8 @@ class ContactTracker {
     bool in_contact = false;  ///< classification as of the last update
   };
 
-  /// Per-shard scratch for the parallel paths; reused between updates so
-  /// a steady-state parallel update allocates nothing once warm.
+  /// Per-shard scratch; reused between updates so a steady-state update
+  /// allocates nothing once warm.
   struct Shard {
     std::vector<SpatialGrid::PairHit> hits;  ///< full pass: candidate pairs
     std::vector<NodePair> contacts;          ///< full pass: in-range pairs
@@ -211,7 +182,6 @@ class ContactTracker {
   double range_;
   double slack_ = 0.0;    ///< extra grid radius; 0 = skipping disabled
   double budget_ = 0.0;   ///< remaining motion (m) before a pass is due
-  double bound_ = -1.0;   ///< advertised per-step motion bound (< 0: off)
   bool have_prev_ = false;
   SpatialGrid grid_;
   std::vector<NodePair> current_;  ///< sorted
@@ -221,13 +191,11 @@ class ContactTracker {
   std::vector<WatchPair> watch_;   ///< sorted by (i, j)
   std::size_t updates_ = 0;
   std::size_t full_passes_ = 0;
-  TaskExecutor* exec_ = nullptr;   ///< non-owning; nullptr = serial
-  std::vector<Shard> shards_;      ///< parallel scratch, reused
+  std::size_t lanes_ = 1;          ///< sizes shards (set_lanes)
+  std::vector<Shard> shards_;      ///< per-shard scratch, reused
   // In-flight staged update (between plan_update and finish_update).
   bool stage_skip_ = false;        ///< recheck (true) vs full pass
   std::size_t stage_shards_ = 1;
-  const std::vector<Vec2>* stage_positions_ = nullptr;  ///< update() only
-  TaskKernel shard_kernel_;        ///< preallocated for update()'s dispatch
 };
 
 }  // namespace dtn

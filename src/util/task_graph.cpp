@@ -1,5 +1,7 @@
 #include "src/util/task_graph.hpp"
 
+#include <algorithm>
+
 #include "src/util/error.hpp"
 
 namespace dtn {
@@ -99,17 +101,24 @@ void TaskExecutor::prepare(TaskGraph& g) {
 }
 
 void TaskExecutor::run(TaskGraph& g) {
+  if (workers_.empty()) {
+    // Inline fast path: add() only accepts dependencies that precede a
+    // node, so id order is a topological order, and one sweep in id
+    // order runs every node after all of its dependencies — with no
+    // claim cursors or dependency counters. A count set by a predecessor
+    // (set_items) is read when the sweep reaches the node. Exceptions
+    // propagate directly; there is no per-run state to reset.
+    for (TaskGraph::Node& nd : g.nodes_) {
+      const TaskKernel& fn = nd.ext != nullptr ? *nd.ext : nd.fn;
+      for (std::size_t b = 0; b < nd.items; b += nd.grain) {
+        fn(b, std::min(nd.items, b + nd.grain));
+      }
+    }
+    return;
+  }
   failed_.store(false, std::memory_order_relaxed);
   err_ = nullptr;  // no run in flight: safe without the error mutex
   prepare(g);
-  if (workers_.empty()) {
-    // Inline fast path: the caller sweeps the graph alone. drain()
-    // visits nodes in id order, so execution is a deterministic
-    // topological order.
-    drain(g);
-    if (failed_.load(std::memory_order_relaxed)) std::rethrow_exception(err_);
-    return;
-  }
   active_.store(&g, std::memory_order_release);
   epoch_.fetch_add(1, std::memory_order_release);
   {

@@ -1,17 +1,21 @@
 // Deterministic intra-step parallelism (DESIGN.md §11/§16): running the
 // World with any Parallel.threads value must produce bit-identical
-// digest trajectories to the serial reference — the task-graph executor
-// only changes *where* read-mostly work runs, never what it computes or
-// the order in which effects are applied. The proof mirrors the
-// event-core suite: digest trajectories on both paper scenarios under
-// all four paper policies (plus knapsack-SDSRP on RWP), serial vs 1/2/8
-// workers, with and without faults, plus targeted checks for the sharded
-// subsystems (contact churn ordering, batched TTL verdicts, checkpoint
-// round-trips) and the zero-allocation guarantee of the steady-state
-// step loop, serial and parallel alike.
+// digest trajectories — the task-graph executor only changes *where*
+// read-mostly work runs, never what it computes or the order in which
+// effects are applied. Threads 0 and 1 both run the step graph on one
+// inline lane; that run is the baseline here, and the legacy scan loop
+// (test_event_core, test_faults) is the independent serial reference.
+// The proof mirrors the event-core suite: digest trajectories on both
+// paper scenarios under all four paper policies (plus knapsack-SDSRP on
+// RWP), one lane vs 2/8 lanes, with and without faults, plus targeted
+// checks for the sharded subsystems (contact churn ordering, batched TTL
+// verdicts, checkpoint round-trips), the phase-profile contract, and the
+// zero-allocation guarantee of the steady-state step loop at one lane
+// and at two.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -28,7 +32,6 @@
 #include "src/routing/spray_and_wait.hpp"
 #include "src/snapshot/checkpoint.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/task_graph.hpp"
 
 // Counts every global allocation so the steady-state test below can
 // assert the step loop performs none once warm. Counting is cheap and
@@ -100,7 +103,7 @@ struct ParallelCase {
 class ParallelStepEquivalence
     : public ::testing::TestWithParam<ParallelCase> {};
 
-TEST_P(ParallelStepEquivalence, DigestTrajectoryMatchesSerial) {
+TEST_P(ParallelStepEquivalence, DigestTrajectoryMatchesOneLane) {
   const ParallelCase& pc = GetParam();
   Scenario sc = std::string(pc.scenario) == "rwp"
                     ? Scenario::random_waypoint_paper()
@@ -108,10 +111,9 @@ TEST_P(ParallelStepEquivalence, DigestTrajectoryMatchesSerial) {
   sc.policy = pc.policy;
   sc.world.duration = 900.0;
   if (pc.faults) enable_faults(sc);
-  const std::vector<std::uint64_t> serial = digest_trajectory(sc, 0);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    EXPECT_EQ(digest_trajectory(sc, threads), serial)
+  const std::vector<std::uint64_t> one_lane = digest_trajectory(sc, 0);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    EXPECT_EQ(digest_trajectory(sc, threads), one_lane)
         << "threads=" << threads;
   }
 }
@@ -142,34 +144,36 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ParallelStepEquivalence, TightBuffersExerciseDropPaths) {
   // Saturated buffers put SDSRP's drop path on every contact: each one
   // rates full buffers through the priority memo, evicts, and gossips
-  // dropped lists. The graph path must still match serial at 2 and 4
-  // lanes.
+  // dropped lists. The graph must still match its one-lane run at 2 and
+  // 4 lanes.
   Scenario sc = Scenario::random_waypoint_paper();
   sc.world.duration = 900.0;
   sc.buffer_capacity = 1'250'000;
-  const std::vector<std::uint64_t> serial = digest_trajectory(sc, 0);
-  EXPECT_EQ(digest_trajectory(sc, 2), serial);
-  EXPECT_EQ(digest_trajectory(sc, 4), serial);
+  const std::vector<std::uint64_t> one_lane = digest_trajectory(sc, 0);
+  EXPECT_EQ(digest_trajectory(sc, 2), one_lane);
+  EXPECT_EQ(digest_trajectory(sc, 4), one_lane);
 }
 
 // --- sharded-subsystem checks ---
 
-TEST(ParallelContactTracker, ChurnOrderingMatchesSerialAtAnyWorkerCount) {
-  // Drive two trackers over the same random walk: one serial, one with an
-  // executor attached. Churn lists, the current set and the skip/full-pass
-  // cadence must agree step for step — the sharded candidate enumeration
-  // and watch recheck only ever batch the serial iteration order.
+TEST(ShardedContactTracker, ChurnOrderingMatchesOneShardAtAnyLaneCount) {
+  // Drive two trackers over the same random walk: one sized for a single
+  // lane, one for several (its updates split into multiple shards, which
+  // update() runs in order on the caller). Churn lists, the current set and the
+  // skip/full-pass cadence must agree step for step — sharding the
+  // candidate enumeration and the watch recheck only ever batches the
+  // one-shard iteration order. Concurrent run_shard calls are covered by
+  // the World graph tests above.
   constexpr std::size_t kNodes = 300;
   constexpr double kRange = 100.0;
   constexpr double kStep = 1.0;
   constexpr double kSpeed = 25.0;  // large churn per step
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
-    ContactTracker serial(kRange);
-    ContactTracker parallel(kRange);
-    serial.set_motion_bound(kSpeed * kStep);
-    parallel.set_motion_bound(kSpeed * kStep);
-    TaskExecutor exec(workers);
-    parallel.set_executor(&exec);
+  for (const std::size_t lanes : {std::size_t{2}, std::size_t{8}}) {
+    ContactTracker one_shard(kRange);
+    ContactTracker sharded(kRange);
+    one_shard.set_motion_bound(kSpeed * kStep);
+    sharded.set_motion_bound(kSpeed * kStep);
+    sharded.set_lanes(lanes);
 
     Rng rng(2026);
     std::vector<Vec2> pos(kNodes);
@@ -181,20 +185,18 @@ TEST(ParallelContactTracker, ChurnOrderingMatchesSerialAtAnyWorkerCount) {
         p.x += rng.uniform(-kSpeed, kSpeed);
         p.y += rng.uniform(-kSpeed, kSpeed);
       }
-      const ContactChurn& cs = serial.update(pos);
+      const ContactChurn& cs = one_shard.update(pos);
       // Copy before the second update: churn references are reused.
       const std::vector<NodePair> ups = cs.went_up;
       const std::vector<NodePair> downs = cs.went_down;
-      const ContactChurn& cp = parallel.update(pos);
-      ASSERT_EQ(cp.went_up, ups) << "workers=" << workers
-                                 << " step=" << step;
-      ASSERT_EQ(cp.went_down, downs) << "workers=" << workers
-                                     << " step=" << step;
-      ASSERT_EQ(parallel.current(), serial.current())
-          << "workers=" << workers << " step=" << step;
+      const ContactChurn& cp = sharded.update(pos);
+      ASSERT_EQ(cp.went_up, ups) << "lanes=" << lanes << " step=" << step;
+      ASSERT_EQ(cp.went_down, downs) << "lanes=" << lanes << " step=" << step;
+      ASSERT_EQ(sharded.current(), one_shard.current())
+          << "lanes=" << lanes << " step=" << step;
     }
-    EXPECT_EQ(parallel.full_pass_count(), serial.full_pass_count())
-        << "workers=" << workers;
+    EXPECT_EQ(sharded.full_pass_count(), one_shard.full_pass_count())
+        << "lanes=" << lanes;
   }
 }
 
@@ -212,10 +214,10 @@ Message short_ttl_msg(MessageId id, NodeId src, NodeId dst, double ttl) {
   return m;
 }
 
-TEST(ParallelTtl, BatchedExpiryVerdictsMatchSerial) {
+TEST(ParallelTtl, BatchedExpiryVerdictsMatchOneLane) {
   // A mass expiry (hundreds of messages dying in one step) crosses the
-  // parallel-classification threshold; the verdict batch must reproduce
-  // the serial pop-order outcome exactly.
+  // parallel-classification threshold on two lanes; the verdict batch
+  // must reproduce the one-lane inline probes' pop-order outcome exactly.
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
     WorldConfig cfg;
     cfg.step = 1.0;
@@ -242,7 +244,7 @@ TEST(ParallelTtl, BatchedExpiryVerdictsMatchSerial) {
     w->run_until(60.0);
     EXPECT_EQ(w->stats().ttl_expired, 320u) << "threads=" << threads;
     if (threads == 0) continue;
-    // Same script serial: end digests must agree.
+    // Same script on one lane: end digests must agree.
     cfg.threads = 0;
     auto ws = std::make_unique<World>(cfg);
     ws->set_router(std::make_unique<SprayAndWaitRouter>());
@@ -288,96 +290,63 @@ TEST(ParallelCheckpoint, MidRunRestoreIsDigestEqual) {
   restored.world->run_until(sc.world.duration);
   EXPECT_EQ(restored.world->digest(), uninterrupted);
 
-  // And a serial resume of the same checkpoint converges to the same
-  // state — parallel mode is invisible to the saved bytes.
+  // And a one-lane resume of the same checkpoint converges to the same
+  // state — the lane count is invisible to the saved bytes.
   Settings s = sc.to_settings();
   s.set("Parallel.threads", "0");
-  const Scenario serial_sc = Scenario::from_settings(s);
-  EXPECT_EQ(serial_sc.world.threads, 0u);
-  auto serial = build_world(serial_sc);
+  const Scenario one_lane_sc = Scenario::from_settings(s);
+  EXPECT_EQ(one_lane_sc.world.threads, 0u);
+  auto one_lane = build_world(one_lane_sc);
   {
     snapshot::ArchiveReader in = snapshot::read_archive_file(path);
-    snapshot::restore_world_into(in, *serial);
+    snapshot::restore_world_into(in, *one_lane);
   }
-  serial->run_until(sc.world.duration);
-  EXPECT_EQ(serial->digest(), uninterrupted);
+  one_lane->run_until(sc.world.duration);
+  EXPECT_EQ(one_lane->digest(), uninterrupted);
   std::remove(path.c_str());
 }
 
 TEST(ParallelConfig, ThreadsRoundTripsThroughSettings) {
   Scenario sc = Scenario::random_waypoint_paper();
-  EXPECT_EQ(sc.world.threads, 0u);  // serial default: goldens unaffected
+  EXPECT_EQ(sc.world.threads, 0u);  // one-lane default
   sc.world.threads = 8;
   const Scenario back = Scenario::from_settings(sc.to_settings());
   EXPECT_EQ(back.world.threads, 8u);
 }
 
-// --- quiet-step batching ---
+// --- phase profile (the contract perfbench's layer metrics read) ---
 
-// A fleet slow enough that the kinetic budget covers many steps of
-// worst-case motion: run_until fuses those spans into batched mobility
-// advances. Adjacent walk boxes nearly touch, so contact episodes (and
-// the sprayed traffic riding on them) punctuate the quiet spans, and
-// staggered TTLs force batches to break at exact expiry steps.
-std::unique_ptr<World> quiet_batch_world(std::size_t threads) {
-  WorldConfig cfg;
-  cfg.step = 1.0;
-  cfg.duration = 1200.0;
-  cfg.range = 10.0;
-  cfg.bandwidth = 10'000.0;
-  cfg.threads = threads;
-  auto w = std::make_unique<World>(cfg);
-  w->set_router(std::make_unique<SprayAndWaitRouter>());
-  w->set_policy(std::make_unique<FifoPolicy>());
-  for (int i = 0; i < 12; ++i) {
-    RandomWalkConfig wc;
-    wc.area = Rect({i * 32.0, 0.0}, {i * 32.0 + 30.0, 30.0});
-    wc.v_min = wc.v_max = 0.25;
-    wc.epoch = 20.0;
-    w->add_node(std::make_unique<RandomWalkModel>(wc, Rng(42 + i)), 100000);
-  }
-  MessageId id = 1;
-  for (NodeId n = 0; n + 1 < 12; ++n) {
-    Message m;
-    m.id = id++;
-    m.source = n;
-    m.destination = n + 1;
-    m.size = 100;
-    m.created = 0.0;
-    m.ttl = 100.0 + 50.0 * static_cast<double>(n);
-    m.copies = 4;
-    m.initial_copies = 4;
-    m.received = 0.0;
-    EXPECT_TRUE(w->inject_message(m));
-  }
-  return w;
-}
-
-TEST(QuietBatch, RunUntilMatchesPureStepLoop) {
-  // run_until fuses provably-quiet spans into batched mobility advances
-  // (DESIGN.md §16); step() never batches. The digest trajectories must
-  // be bit-identical, with batches breaking at exactly the right step
-  // around TTL expiries, contact episodes and occupancy samples — at
-  // any thread count, since batch sizing is state-pure.
-  auto reference = quiet_batch_world(0);
-  std::vector<std::uint64_t> ref_digests;
-  for (double t = 100.0; t <= 1200.0 + 1e-9; t += 100.0) {
-    while (reference->now() + 1.0 <= t + 1e-9) reference->step();
-    ref_digests.push_back(reference->digest());
-  }
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    auto w = quiet_batch_world(threads);
-    std::vector<std::uint64_t> digests;
-    for (double t = 100.0; t <= 1200.0 + 1e-9; t += 100.0) {
-      w->run_until(t);
-      digests.push_back(w->digest());
+TEST(ParallelProfile, OneLaneStampsPhasesManyLanesFoldIntoDispatch) {
+  // At one lane (threads 0 or 1) the graph runs its nodes in order on
+  // the caller and each node stamps its own phase; with more lanes the
+  // phases overlap, so the whole graph run is charged to dispatch_s.
+  Scenario sc = Scenario::random_waypoint_paper();
+  sc.policy = "sdsrp";
+  sc.world.duration = 600.0;
+  sc.world.profile_phases = true;
+  const auto steps = static_cast<std::uint64_t>(
+      std::llround(sc.world.duration / sc.world.step));
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}}) {
+    sc.world.threads = threads;
+    auto w = build_world(sc);
+    w->run();
+    const PhaseProfile& p = w->phase_profile();
+    EXPECT_EQ(p.steps, steps) << "threads=" << threads;
+    EXPECT_GT(p.transfers_s, 0.0) << "threads=" << threads;
+    if (threads <= 1) {
+      EXPECT_GT(p.mobility_s, 0.0) << "threads=" << threads;
+      EXPECT_GT(p.contacts_s, 0.0) << "threads=" << threads;
+      EXPECT_GT(p.events_s, 0.0) << "threads=" << threads;
+      EXPECT_GT(p.ttl_s, 0.0) << "threads=" << threads;
+      EXPECT_EQ(p.dispatch_s, 0.0) << "threads=" << threads;
+    } else {
+      EXPECT_GT(p.dispatch_s, 0.0);
+      EXPECT_EQ(p.mobility_s, 0.0);
+      EXPECT_EQ(p.contacts_s, 0.0);
+      EXPECT_EQ(p.events_s, 0.0);
+      EXPECT_EQ(p.ttl_s, 0.0);
     }
-    EXPECT_EQ(digests, ref_digests) << "threads=" << threads;
-    // Vacuity guard: batched steps never pass through step(), so they
-    // are invisible to the per-step profile counter. If batching never
-    // engaged, this scenario is not testing what it claims to.
-    EXPECT_LT(w->phase_profile().steps, reference->phase_profile().steps)
-        << "threads=" << threads;
   }
 }
 
@@ -393,9 +362,9 @@ TEST(ParallelScratch, SteadyStateStepLoopDoesNotAllocate) {
   // quiet stationary fleet reaches that steady state immediately:
   // priority caching off keeps the idle memo and per-node memos empty,
   // and the huge occupancy interval keeps the sampler out of the window.
-  // The parallel variant additionally pins the executor contract: graph
-  // dispatch, for_each and the quiet-batch path borrow preallocated
-  // kernels and never touch the heap once warm.
+  // The two-lane variant additionally pins the executor contract: graph
+  // dispatch borrows preallocated kernels and never touches the heap
+  // once warm.
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
     WorldConfig cfg;
     cfg.step = 1.0;
@@ -433,9 +402,6 @@ TEST(ParallelScratch, HierarchicalGridRebuildsDoNotAllocateInSteadyState) {
   // small boxes far apart (no contacts ever form, so no Message churn),
   // and two stationary sentinels pin the corners of the coarse-tile
   // bounding box so the dense directory never has to grow mid-window.
-  // The movers keep the kinetic budget too thin for quiet batching, so
-  // the parallel variant measures the task-graph step itself (dispatch,
-  // tracker shards, merge) rather than the batched fast path.
   for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
     WorldConfig cfg;
     cfg.step = 1.0;

@@ -432,6 +432,48 @@ TEST(SnapshotHostile, FlippedLengthPrefixIsAPreconditionError) {
   }
 }
 
+TEST(SnapshotHostile, FlippedArenaHighWaterIsAPreconditionError) {
+  // The v5+ arena sizing hint (high_water, free_count) closes the world
+  // section. A flipped high byte asks for ~4.6e18 slots, a flipped low
+  // bit for a plausible-looking one; both break the arena identity
+  // high_water == live + free against the buffers just restored, and
+  // the restore must refuse them instead of sizing slabs from them.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+
+  // Locate the tagged pair [u64 high_water][u64 free_count] by value.
+  const auto tagged_u64 = [](std::uint64_t v) {
+    std::vector<std::uint8_t> b{static_cast<std::uint8_t>(snapshot::Tag::kU64)};
+    for (int i = 0; i < 8; ++i) b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return b;
+  };
+  std::vector<std::uint8_t> hint = tagged_u64(world->arena().high_water());
+  const std::vector<std::uint8_t> free_bytes =
+      tagged_u64(world->arena().free_count());
+  hint.insert(hint.end(), free_bytes.begin(), free_bytes.end());
+  hint.push_back(static_cast<std::uint8_t>(snapshot::Tag::kSectionEnd));
+  const auto it =
+      std::find_end(clean.begin(), clean.end(), hint.begin(), hint.end());
+  ASSERT_NE(it, clean.end());
+  const auto at = static_cast<std::size_t>(it - clean.begin());
+  {
+    snapshot::ArchiveReader in{std::vector<std::uint8_t>(clean)};
+    EXPECT_NO_THROW(snapshot::restore_world(in));  // the clean bytes load
+  }
+  for (const auto& [byte, mask] : {std::pair<std::size_t, std::uint8_t>{8, 0x40},
+                                   std::pair<std::size_t, std::uint8_t>{1, 0x01}}) {
+    std::vector<std::uint8_t> bytes = clean;
+    bytes[at + byte] ^= mask;
+    snapshot::ArchiveReader in(std::move(bytes));
+    EXPECT_THROW(snapshot::restore_world(in), PreconditionError)
+        << "payload byte " << byte << " mask " << int{mask};
+  }
+}
+
 // --- digest determinism regression ---
 
 TEST(Digest, SameSeedSameDigestTrajectory) {

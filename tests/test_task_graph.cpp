@@ -58,16 +58,18 @@ TEST(TaskExecutor, SingleLaneRunsInlineOnCaller) {
 }
 
 TEST(TaskExecutor, ZeroItemsSkipsKernelButReleasesSuccessors) {
-  TaskExecutor ex(3);
-  TaskGraph g;
-  std::atomic<int> calls{0};
-  std::atomic<bool> tail_ran{false};
-  int a = g.add([&](std::size_t, std::size_t) { calls.fetch_add(1); }, 4);
-  g.add_serial([&](std::size_t, std::size_t) { tail_ran.store(true); }, {a});
-  g.set_items(a, 0);
-  ex.run(g);
-  EXPECT_EQ(calls.load(), 0);
-  EXPECT_TRUE(tail_ran.load());
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    TaskExecutor ex(lanes);
+    TaskGraph g;
+    std::atomic<int> calls{0};
+    std::atomic<bool> tail_ran{false};
+    int a = g.add([&](std::size_t, std::size_t) { calls.fetch_add(1); }, 4);
+    g.add_serial([&](std::size_t, std::size_t) { tail_ran.store(true); }, {a});
+    g.set_items(a, 0);
+    ex.run(g);
+    EXPECT_EQ(calls.load(), 0) << "lanes=" << lanes;
+    EXPECT_TRUE(tail_ran.load()) << "lanes=" << lanes;
+  }
 }
 
 TEST(TaskExecutor, DependenciesOrderPhases) {
@@ -103,17 +105,41 @@ TEST(TaskExecutor, DependenciesOrderPhases) {
 
 TEST(TaskExecutor, ChainThroughZeroChunkMiddleNode) {
   // a -> (zero-item) -> c: the zero-chunk middle node must cascade.
-  TaskExecutor ex(2);
-  TaskGraph g;
-  std::vector<int> order;
-  int a = g.add_serial([&](std::size_t, std::size_t) { order.push_back(1); });
-  int mid = g.add([](std::size_t, std::size_t) {}, 1, {a});
-  g.add_serial([&](std::size_t, std::size_t) { order.push_back(3); }, {mid});
-  g.set_items(mid, 0);
-  ex.run(g);
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);
-  EXPECT_EQ(order[1], 3);
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
+    TaskExecutor ex(lanes);
+    TaskGraph g;
+    std::vector<int> order;
+    int a = g.add_serial([&](std::size_t, std::size_t) { order.push_back(1); });
+    int mid = g.add([](std::size_t, std::size_t) {}, 1, {a});
+    g.add_serial([&](std::size_t, std::size_t) { order.push_back(3); }, {mid});
+    g.set_items(mid, 0);
+    ex.run(g);
+    ASSERT_EQ(order.size(), 2u) << "lanes=" << lanes;
+    EXPECT_EQ(order[0], 1);
+    EXPECT_EQ(order[1], 3);
+  }
+}
+
+TEST(TaskExecutor, PredecessorSizesSuccessorMidRun) {
+  // The step-graph pattern: a serial planning node sets the item count
+  // of the parallel stage it feeds, during the run.
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    TaskExecutor ex(lanes);
+    TaskGraph g;
+    std::atomic<std::size_t> covered{0};
+    int stage = -1;
+    int plan = g.add_serial(
+        [&](std::size_t, std::size_t) { g.set_items(stage, 37); });
+    stage = g.add(
+        [&](std::size_t lo, std::size_t hi) { covered.fetch_add(hi - lo); },
+        4, {plan});
+    for (int rep = 0; rep < 3; ++rep) {
+      covered.store(0);
+      g.set_items(stage, 0);  // stale count from the previous run
+      ex.run(g);
+      EXPECT_EQ(covered.load(), 37u) << "lanes=" << lanes << " rep=" << rep;
+    }
+  }
 }
 
 TEST(TaskExecutor, ExceptionFromWorkerTaskPropagatesToCaller) {
@@ -135,19 +161,21 @@ TEST(TaskExecutor, ExceptionFromWorkerTaskPropagatesToCaller) {
 }
 
 TEST(TaskExecutor, ExceptionInGraphNodeAbandonsRunButGraphIsReusable) {
-  TaskExecutor ex(4);
-  TaskGraph g;
-  std::atomic<int> runs{0};
-  bool fail = true;
-  int a = g.add_serial([&](std::size_t, std::size_t) {
-    if (fail) throw std::logic_error("node failed");
-    runs.fetch_add(1);
-  });
-  g.add_serial([&](std::size_t, std::size_t) { runs.fetch_add(1); }, {a});
-  EXPECT_THROW(ex.run(g), std::logic_error);
-  fail = false;
-  ex.run(g);
-  EXPECT_EQ(runs.load(), 2);
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+    TaskExecutor ex(lanes);
+    TaskGraph g;
+    std::atomic<int> runs{0};
+    bool fail = true;
+    int a = g.add_serial([&](std::size_t, std::size_t) {
+      if (fail) throw std::logic_error("node failed");
+      runs.fetch_add(1);
+    });
+    g.add_serial([&](std::size_t, std::size_t) { runs.fetch_add(1); }, {a});
+    EXPECT_THROW(ex.run(g), std::logic_error) << "lanes=" << lanes;
+    fail = false;
+    ex.run(g);
+    EXPECT_EQ(runs.load(), 2) << "lanes=" << lanes;
+  }
 }
 
 TEST(TaskExecutor, ManyRepeatedRunsStaySane) {
