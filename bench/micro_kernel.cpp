@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
 // spatial-grid contact detection, priority evaluation (closed form vs
-// Taylor), buffer admission, dropped-list merge, and a full
+// Taylor), buffer admission, dropped-list merge and save, and a full
 // world-step at paper scale.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/buffer/fifo.hpp"
 #include "src/buffer/sdsrp_policy.hpp"
@@ -14,6 +15,7 @@
 #include "src/routing/spray_and_wait.hpp"
 #include "src/sdsrp/dropped_list.hpp"
 #include "src/sdsrp/priority_model.hpp"
+#include "src/snapshot/archive.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -93,23 +95,65 @@ void BM_BufferAdmissionFifo(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferAdmissionFifo);
 
+// Gossip generations over `records` owner nodes: generation g carries
+// every node's record after its (8 + g)-th drop, stamped at time g. A list
+// holding generation g - 1 adopts every record of generation g.
+std::vector<dtn::sdsrp::DroppedList> gossip_generations(
+    std::size_t records, std::size_t generations) {
+  std::vector<dtn::sdsrp::DroppedList> nodes;
+  for (std::size_t n = 1; n <= records; ++n) {
+    nodes.emplace_back(n);
+    for (std::uint64_t m = 0; m < 7; ++m) {
+      nodes.back().record_local_drop(n * 1000 + m, 0.0);
+    }
+  }
+  std::vector<dtn::sdsrp::DroppedList> gens;
+  for (std::size_t g = 0; g < generations; ++g) {
+    dtn::sdsrp::DroppedList carrier(records + 1);
+    for (auto& node : nodes) {
+      node.record_local_drop(node.owner() * 1000 + 7 + g,
+                             static_cast<double>(g));
+      carrier.merge_from(node);
+    }
+    gens.push_back(std::move(carrier));
+  }
+  return gens;
+}
+
 void BM_DroppedListMerge(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
+  const auto gens = gossip_generations(records, 32);
   dtn::sdsrp::DroppedList target(0);
-  dtn::sdsrp::DroppedList source(1);
-  for (std::size_t n = 1; n <= records; ++n) {
-    dtn::sdsrp::DroppedList node(n);
-    for (std::uint64_t m = 0; m < 8; ++m) {
-      node.record_local_drop(n * 100 + m, static_cast<double>(n));
-    }
-    source.merge_from(node);
-  }
+  std::size_t g = 0;
   for (auto _ : state) {
-    target.merge_from(source);
-    benchmark::DoNotOptimize(target.known_records());
+    if (g == gens.size()) {  // every generation adopted: start over
+      state.PauseTiming();
+      target = dtn::sdsrp::DroppedList(0);
+      g = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(target.merge_from(gens[g++]));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records));
 }
 BENCHMARK(BM_DroppedListMerge)->Arg(10)->Arg(100);
+
+void BM_DroppedListSave(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const auto gens = gossip_generations(records, 32);
+  const dtn::sdsrp::DroppedList& list = gens.back();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    dtn::snapshot::ArchiveWriter out;
+    list.save_state(out);
+    bytes += out.bytes_written();
+    benchmark::DoNotOptimize(out.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_DroppedListSave)->Arg(100);
 
 void BM_WorldStepPaperScale(benchmark::State& state) {
   dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();

@@ -8,12 +8,20 @@
 // record with the newest record time per owner. A node also rejects
 // re-receiving a message that is in its own dropped record, which prevents
 // the same node's drop being counted twice.
+//
+// Records are append-only: an owner only ever adds ids to its record, and
+// no id is ever removed from any record. Each record's ids live in an
+// immutable sorted vector behind a shared pointer, so adopting a newer
+// record through gossip copies a pointer, and a local drop publishes a new
+// vector instead of editing the one other lists may already share.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace dtn::snapshot {
 class ArchiveWriter;
@@ -21,12 +29,6 @@ class ArchiveReader;
 }  // namespace dtn::snapshot
 
 namespace dtn::sdsrp {
-
-/// One node's drop record as gossiped through the network.
-struct DropRecord {
-  std::unordered_set<std::uint64_t> dropped;  ///< message ids
-  double record_time = -1.0;                  ///< stamped by the owner only
-};
 
 class DroppedList {
  public:
@@ -52,25 +54,32 @@ class DroppedList {
   /// d̂_i: number of known node records containing `msg`.
   double count_drops(std::uint64_t msg) const;
 
-  /// Forgets `msg` from all records (e.g. after TTL expiry, the drop no
-  /// longer needs tracking). Does not bump record times.
-  void forget_message(std::uint64_t msg);
-
   std::size_t known_records() const { return records_.size(); }
 
-  /// Snapshot/restore: serializes all known records in canonical (sorted)
-  /// order; the counts_ index is rebuilt on load.
+  /// Snapshot/restore: serializes all known records in canonical order
+  /// (owners ascending, ids ascending within a record); the counts_ index
+  /// is rebuilt on load, and a stream not in canonical form is rejected.
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
  private:
-  void index_add(const DropRecord& rec);
-  void index_remove(const DropRecord& rec);
+  /// Sorted, unique message ids. Never modified once published.
+  using Ids = std::shared_ptr<const std::vector<std::uint64_t>>;
+
+  /// One node's drop record as gossiped through the network.
+  struct DropRecord {
+    Ids dropped;
+    double record_time = -1.0;  ///< stamped by the owner only
+  };
+
+  /// Moves counts_ from the ids of `from` to those of `to` (either may be
+  /// null) in one walk over the two sorted vectors.
+  void reindex(const Ids& from, const Ids& to);
 
   std::size_t owner_;
-  std::unordered_map<std::size_t, DropRecord> records_;  ///< by owner node id
+  std::map<std::size_t, DropRecord> records_;  ///< by owner node id
   /// Aggregated index: message id -> number of records containing it.
-  /// Kept in sync by record/merge/forget so count_drops is O(1) — it is
+  /// Kept in sync by record/merge so count_drops is O(1) — it is
   /// evaluated once per priority computation, which is the simulator's
   /// hottest path under SDSRP.
   std::unordered_map<std::uint64_t, int> counts_;

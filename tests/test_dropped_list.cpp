@@ -1,7 +1,14 @@
 // Tests for the Fig. 5 dropped-list gossip structure.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "src/sdsrp/dropped_list.hpp"
+#include "src/snapshot/archive.hpp"
+#include "src/util/rng.hpp"
 
 namespace dtn::sdsrp {
 namespace {
@@ -81,16 +88,6 @@ TEST(DroppedList, CountDropsAcrossManyNodes) {
   EXPECT_EQ(observer.known_records(), 5u);
 }
 
-TEST(DroppedList, ForgetMessageRemovesEverywhere) {
-  DroppedList a(0), b(1);
-  a.record_local_drop(7, 1.0);
-  b.record_local_drop(7, 2.0);
-  a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.count_drops(7), 2.0);
-  a.forget_message(7);
-  EXPECT_DOUBLE_EQ(a.count_drops(7), 0.0);
-}
-
 TEST(DroppedList, TransitiveGossipPropagates) {
   // a -> b -> c without a ever meeting c.
   DroppedList a(0), b(1), c(2);
@@ -98,6 +95,113 @@ TEST(DroppedList, TransitiveGossipPropagates) {
   b.merge_from(a);
   c.merge_from(b);
   EXPECT_DOUBLE_EQ(c.count_drops(10), 1.0);
+}
+
+// Naive reference for one node's view: owner -> {record time, id set}.
+struct ModelList {
+  std::size_t owner;
+  std::map<std::size_t, std::pair<double, std::set<std::uint64_t>>> records;
+
+  void drop(std::uint64_t msg, double now) {
+    auto& own = records[owner];
+    own.first = now;
+    own.second.insert(msg);
+  }
+  bool merge_from(const ModelList& other) {
+    bool changed = false;
+    for (const auto& [node, rec] : other.records) {
+      if (node == owner) continue;
+      auto it = records.find(node);
+      if (it == records.end() || rec.first > it->second.first) {
+        records[node] = rec;
+        changed = true;
+      }
+    }
+    return changed;
+  }
+  double count(std::uint64_t msg) const {
+    double n = 0;
+    for (const auto& [node, rec] : records) n += rec.second.count(msg);
+    return n;
+  }
+  bool has_own(std::uint64_t msg) const {
+    const auto it = records.find(owner);
+    return it != records.end() && it->second.second.count(msg) > 0;
+  }
+  // The canonical stream: owners ascending, ids ascending.
+  std::vector<std::uint8_t> bytes() const {
+    snapshot::ArchiveWriter out;
+    out.begin_section("dropped-list");
+    out.u64(owner);
+    out.u64(records.size());
+    for (const auto& [node, rec] : records) {
+      out.u64(node);
+      out.f64(rec.first);
+      out.u64(rec.second.size());
+      for (std::uint64_t m : rec.second) out.u64(m);
+    }
+    out.end_section();
+    return out.bytes();
+  }
+};
+
+std::vector<std::uint8_t> saved(const DroppedList& d) {
+  snapshot::ArchiveWriter out;
+  d.save_state(out);
+  return out.bytes();
+}
+
+TEST(DroppedList, MatchesNaiveModelUnderRandomGossip) {
+  constexpr std::size_t kLists = 12;
+  constexpr std::uint64_t kIds = 48;
+  Rng rng(20150901);
+  std::vector<DroppedList> lists;
+  std::vector<ModelList> model;
+  for (std::size_t n = 0; n < kLists; ++n) {
+    lists.emplace_back(n);
+    model.push_back({n, {}});
+  }
+  const auto pick = [&rng](std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(0, hi - 1));
+  };
+  double now = 0.0;
+  for (int op = 0; op < 3000; ++op) {
+    // Some steps keep the clock still, so equal record times (which
+    // must not be adopted) come up too.
+    if (rng.uniform01() < 0.7) now += 1.0;
+    const std::size_t a = pick(kLists);
+    if (rng.uniform01() < 0.35) {
+      const auto msg = static_cast<std::uint64_t>(pick(kIds));
+      lists[a].record_local_drop(msg, now);
+      model[a].drop(msg, now);
+    } else {
+      const std::size_t b = pick(kLists);
+      ASSERT_EQ(lists[a].merge_from(lists[b]), model[a].merge_from(model[b]))
+          << "op " << op << ": merge " << b << " into " << a;
+    }
+    for (std::size_t n = 0; n < kLists; ++n) {
+      ASSERT_EQ(lists[n].known_records(), model[n].records.size())
+          << "op " << op << " list " << n;
+      for (std::uint64_t msg = 0; msg <= kIds; ++msg) {
+        ASSERT_EQ(lists[n].count_drops(msg), model[n].count(msg))
+            << "op " << op << " list " << n << " msg " << msg;
+        ASSERT_EQ(lists[n].has_own_drop(msg), model[n].has_own(msg))
+            << "op " << op << " list " << n << " msg " << msg;
+      }
+    }
+  }
+  for (std::size_t n = 0; n < kLists; ++n) {
+    const std::vector<std::uint8_t> bytes = saved(lists[n]);
+    EXPECT_EQ(bytes, model[n].bytes()) << "list " << n;
+    snapshot::ArchiveReader in{std::vector<std::uint8_t>(bytes)};
+    DroppedList restored(n);
+    restored.load_state(in);
+    EXPECT_TRUE(in.at_end());
+    EXPECT_EQ(saved(restored), bytes) << "list " << n;
+    for (std::uint64_t msg = 0; msg <= kIds; ++msg) {
+      EXPECT_EQ(restored.count_drops(msg), model[n].count(msg));
+    }
+  }
 }
 
 }  // namespace

@@ -474,6 +474,69 @@ TEST(SnapshotHostile, FlippedArenaHighWaterIsAPreconditionError) {
   }
 }
 
+TEST(SnapshotHostile, NonCanonicalDroppedListIsAPreconditionError) {
+  // save_state writes each dropped list with owners strictly ascending
+  // and ids strictly ascending within a record. A repeated owner would
+  // count its drops twice in d̂ and swapped ids would break the sorted
+  // record invariant, so the restore must refuse both.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+
+  // Find a "dropped-list" section whose first record holds two or more
+  // ids and which holds two or more records. Its body is the u64 owner
+  // and the u64 record count; each record is the u64 node, the f64
+  // record time, the u64 id count and the u64 ids (9 bytes each).
+  constexpr std::size_t kScalar = snapshot::ArchiveReader::kU64Bytes;
+  const auto le64_at = [&clean](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(clean[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  const std::string name = "dropped-list";
+  std::size_t first = std::string::npos;
+  std::size_t second = std::string::npos;
+  for (auto it = clean.begin();
+       (it = std::search(it, clean.end(), name.begin(), name.end())) !=
+       clean.end();
+       ++it) {
+    const auto body = static_cast<std::size_t>(it - clean.begin()) + name.size();
+    const std::size_t rec = body + 2 * kScalar;
+    if (le64_at(body + kScalar + 1) < 2 || le64_at(rec + 2 * kScalar + 1) < 2) {
+      continue;
+    }
+    first = rec;
+    second = rec + 3 * kScalar + le64_at(rec + 2 * kScalar + 1) * kScalar;
+    break;
+  }
+  ASSERT_NE(first, std::string::npos) << "no dropped list with two records";
+  {
+    snapshot::ArchiveReader in{std::vector<std::uint8_t>(clean)};
+    EXPECT_NO_THROW(snapshot::restore_world(in));  // the clean bytes load
+  }
+  {
+    std::vector<std::uint8_t> bytes = clean;  // the second owner repeats the first
+    std::copy_n(clean.begin() + first + 1, 8, bytes.begin() + second + 1);
+    snapshot::ArchiveReader in(std::move(bytes));
+    EXPECT_THROW(snapshot::restore_world(in), PreconditionError)
+        << "repeated owner";
+  }
+  {
+    std::vector<std::uint8_t> bytes = clean;  // the first two ids swap
+    const std::size_t id0 = first + 3 * kScalar + 1;
+    std::swap_ranges(bytes.begin() + id0, bytes.begin() + id0 + 8,
+                     bytes.begin() + id0 + kScalar);
+    snapshot::ArchiveReader in(std::move(bytes));
+    EXPECT_THROW(snapshot::restore_world(in), PreconditionError)
+        << "swapped ids";
+  }
+}
+
 // --- digest determinism regression ---
 
 TEST(Digest, SameSeedSameDigestTrajectory) {
