@@ -15,12 +15,8 @@ namespace {
 /// never depends on the grain (chunks only batch independent per-index
 /// work), so these are pure tuning knobs.
 constexpr std::size_t kMobilityGrain = 64;
-constexpr std::size_t kTtlGrain = 64;
 /// Contact-event groups per chunk in the hoisted estimator pass.
 constexpr std::size_t kImtGrain = 4;
-/// Below this many due TTL entries the serial checks are cheaper than
-/// fanning the batch out.
-constexpr std::size_t kTtlParallelMin = 64;
 /// Upper bound on arena slots reserved up front, whether estimated from
 /// the traffic schedule or hinted by a restored checkpoint.
 constexpr std::size_t kArenaReserveMax = std::size_t{1} << 18;
@@ -233,10 +229,7 @@ void World::step_legacy() {
   }
   stamp(profile_.contacts_s);
   scan_completions();
-  if (gen_ != nullptr) {
-    gen_->poll(now_, traffic_scratch_);
-    admit_traffic();
-  }
+  if (gen_ != nullptr) admit_traffic();
   stamp(profile_.events_s);
   scan_ttl();
   stamp(profile_.ttl_s);
@@ -246,9 +239,9 @@ void World::step_legacy() {
 
 void World::build_step_graph() {
   graph_built_ = true;
-  // Node ids are added in topological order; the single-lane drain then
-  // sweeps them in exactly this order, each node stamping its phase.
-  // Kernels capture only `this`.
+  // Stages run in the order they are added; the single-lane run sweeps
+  // them on the caller, each stage stamping its phase. Kernels capture
+  // only `this`.
   g_mob_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) {
         advance_mobility(begin, end);
@@ -266,27 +259,10 @@ void World::build_step_graph() {
         stamp(profile_.mobility_s);
       },
       kMobilityGrain);
-  g_eta_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
-    pop_due_etas();
-    stamp(profile_.events_s);
+  g_plan_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
+    plan_contacts();
+    stamp(profile_.contacts_s);
   });
-  g_poll_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
-    // The generator's schedule depends only on its own state, never on
-    // this step's churn, so polling overlaps the contact pass. Admission
-    // stays serial (g_apply_).
-    if (gen_ != nullptr) {
-      gen_->poll(now_, traffic_scratch_);
-    } else {
-      traffic_scratch_.clear();
-    }
-    stamp(profile_.events_s);
-  });
-  g_plan_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) {
-        plan_contacts();
-        stamp(profile_.contacts_s);
-      },
-      {g_mob_});
   g_track_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
@@ -294,35 +270,16 @@ void World::build_step_graph() {
         }
         stamp(profile_.contacts_s);
       },
-      /*grain=*/1, {g_plan_});
-  g_merge_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) {
-        merge_contacts_and_shard_imt();
-        stamp(profile_.contacts_s);
-      },
-      {g_track_});
+      /*grain=*/1);
+  g_merge_ = step_graph_.add_serial([this](std::size_t, std::size_t) {
+    merge_contacts_and_shard_imt();
+    stamp(profile_.contacts_s);
+  });
   g_imt_ = step_graph_.add(
       [this](std::size_t begin, std::size_t end) { run_imt_groups(begin, end); },
-      kImtGrain, {g_merge_});
-  g_apply_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) { apply_step_events(); },
-      {g_imt_, g_eta_, g_poll_});
-  g_verdict_ = step_graph_.add(
-      [this](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const ExpiryEvent& e = due_scratch_[k];
-          const Node& n = *nodes_[e.node];
-          ttl_verdicts_[k] =
-              TtlVerdict{n.buffer().has(e.msg), n.is_pinned(e.msg)};
-        }
-      },
-      kTtlGrain, {g_apply_});
-  g_ttl_ = step_graph_.add_serial(
-      [this](std::size_t, std::size_t) {
-        apply_ttl(ttl_parallel_);
-        stamp(profile_.ttl_s);
-      },
-      {g_verdict_});
+      kImtGrain);
+  step_graph_.add_serial(
+      [this](std::size_t, std::size_t) { apply_step_events(); });
 }
 
 void World::step_graph() {
@@ -333,9 +290,10 @@ void World::step_graph() {
   if (mob_want_disp_) {
     mob_chunk_maxd2_.assign((n + kMobilityGrain - 1) / kMobilityGrain, 0.0);
   }
-  // At one lane the graph runs its nodes in id order on this thread, so
-  // the node bodies stamp their own phases. With more lanes the phases
-  // overlap, and the whole run is charged to dispatch_s.
+  // At one lane the graph runs its stages in order on this thread, so
+  // the stage bodies stamp their own phases. With more lanes a stage
+  // runs on several threads at once, and the whole run is charged to
+  // dispatch_s.
   const bool prof = cfg_.profile_phases;
   const bool one_lane = exec_.lanes() == 1;
   stamp_phases_ = prof && one_lane;
@@ -440,14 +398,10 @@ void World::apply_step_events() {
     refresh_live_contacts();
   }
   stamp(profile_.contacts_s);
-  apply_completions();
+  apply_due_completions();
   if (gen_ != nullptr) admit_traffic();
   stamp(profile_.events_s);
-  drain_due_ttl();
-  // The verdict fan-out only pays on a second lane.
-  ttl_parallel_ = exec_.lanes() > 1 && due_scratch_.size() >= kTtlParallelMin;
-  if (ttl_parallel_) ttl_verdicts_.resize(due_scratch_.size());
-  step_graph_.set_items(g_verdict_, ttl_parallel_ ? due_scratch_.size() : 0);
+  apply_due_ttl();
   stamp(profile_.ttl_s);
 }
 
@@ -706,27 +660,17 @@ void World::scan_completions() {
   for (const Transfer& t : legacy_due_) handle_completion(t);
 }
 
-void World::pop_due_etas() {
-  // Validity is NOT checked here: the graph pops before link churn runs,
-  // and an entry invalidated by a churn abort must be discarded exactly
-  // as the interleaved serial drain would. Nothing between this pop and
-  // apply_completions pushes into the heap (only start_transfers does),
-  // so popping early is order-equivalent.
-  eta_due_scratch_.clear();
-  while (!eta_heap_.empty() && eta_heap_.front().eta <= now_ + 1e-9) {
-    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
-    eta_due_scratch_.push_back(eta_heap_.back());
-    eta_heap_.pop_back();
-  }
-}
-
-void World::apply_completions() {
+void World::apply_due_completions() {
   // Pops in exactly the legacy (eta, from) order. Stale entries —
   // transfers aborted since they were scheduled — fail the seq check and
   // are discarded. Interleaving removal with handling is equivalent to the
   // legacy remove-all-then-handle: a completion handler never reads other
   // in-flight transfers, and pinned sender copies are eviction-immune.
-  for (const EtaEvent& e : eta_due_scratch_) {
+  // Handlers never push into this heap (only start_transfers does).
+  while (!eta_heap_.empty() && eta_heap_.front().eta <= now_ + 1e-9) {
+    std::pop_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
+    const EtaEvent e = eta_heap_.back();
+    eta_heap_.pop_back();
     const std::int64_t idx = outgoing_[e.from];
     if (idx < 0 || transfers_[static_cast<std::size_t>(idx)].seq != e.seq) {
       continue;  // tombstone
@@ -840,6 +784,7 @@ void World::handle_completion(const Transfer& t) {
 }
 
 void World::admit_traffic() {
+  gen_->poll(now_, traffic_scratch_);
   for (Message& m : traffic_scratch_) {
     ++stats_.created;
     const MessageId id = m.id;
@@ -879,54 +824,25 @@ void World::scan_ttl() {
   }
 }
 
-void World::drain_due_ttl() {
+void World::apply_due_ttl() {
   // Only due entries are touched. A popped entry may be stale (the copy
   // was dropped, forwarded away or already purged — lazy invalidation) or
   // pinned by an in-flight transfer (the legacy scan skips those too;
-  // re-queue and retry next step). Per-step purge *order* differs from the
+  // re-queue after the loop and retry next step, since a re-push now
+  // would pop again at once). Per-step purge *order* differs from the
   // legacy per-node scan, but every removal lands in order-insensitive
   // state (buffer membership, registry sets, counters), so the end-of-step
-  // digest is identical.
-  //
-  // The due batch is drained first and applied second so the resident /
-  // pinned classification — the only per-entry reads — can fan out over
-  // the lanes. The verdicts stay valid through the serial apply: a purge
-  // only changes `has` for its own (node, msg), and duplicate entries for
-  // one (node, msg) carry the same expiry (created + ttl is immutable per
-  // id), so they pop adjacently and inherit the first entry's outcome
-  // exactly as an interleaved serial loop would produce.
+  // digest is identical. A second entry for one (node, msg) re-observes
+  // the first one's effect: gone after a purge, still pinned after a
+  // deferral.
   expiry_deferred_.clear();
-  due_scratch_.clear();
   while (!expiry_heap_.empty() && expiry_heap_.front().expiry <= now_) {
     std::pop_heap(expiry_heap_.begin(), expiry_heap_.end(), &expiry_after);
-    due_scratch_.push_back(expiry_heap_.back());
+    const ExpiryEvent e = expiry_heap_.back();
     expiry_heap_.pop_back();
-  }
-}
-
-void World::apply_ttl(bool parallel) {
-  enum class Outcome { kStale, kDeferred, kPurged };
-  Outcome prev = Outcome::kStale;
-  for (std::size_t k = 0; k < due_scratch_.size(); ++k) {
-    const ExpiryEvent& e = due_scratch_[k];
-    if (k > 0 && due_scratch_[k - 1].node == e.node &&
-        due_scratch_[k - 1].msg == e.msg) {
-      // Duplicate entry: the serial loop would re-observe the first
-      // entry's effect — gone (stale) after a purge or a stale skip,
-      // still pinned after a deferral.
-      if (prev == Outcome::kDeferred) expiry_deferred_.push_back(e);
-      continue;
-    }
     Node& n = *nodes_[e.node];
-    const bool has = parallel ? ttl_verdicts_[k].has : n.buffer().has(e.msg);
-    if (!has) {
-      prev = Outcome::kStale;
-      continue;
-    }
-    const bool pinned =
-        parallel ? ttl_verdicts_[k].pinned : n.is_pinned(e.msg);
-    if (pinned) {
-      prev = Outcome::kDeferred;
+    if (!n.buffer().has(e.msg)) continue;
+    if (n.is_pinned(e.msg)) {
       expiry_deferred_.push_back(e);
       continue;
     }
@@ -935,7 +851,6 @@ void World::apply_ttl(bool parallel) {
     registry_.on_copy_removed(e.msg, e.node, /*dropped=*/false);
     ++stats_.ttl_expired;
     notify([&](WorldObserver& o) { o.on_ttl_expired(e.node, dead, now_); });
-    prev = Outcome::kPurged;
   }
   for (const ExpiryEvent& e : expiry_deferred_) {
     push_expiry(e.node, e.expiry, e.msg);
@@ -1188,7 +1103,7 @@ void World::load_state(snapshot::ArchiveReader& in) {
   DTN_REQUIRE(n_nodes == nodes_.size(),
               "load_state: node count does not match this world");
   for (auto& n : nodes_) n->load_state(in);
-  tracker_.load_state(in);
+  tracker_.load_state(in, nodes_.size());
   transfers_.clear();
   using R = snapshot::ArchiveReader;
   const std::uint64_t n_transfers =
@@ -1198,6 +1113,10 @@ void World::load_state(snapshot::ArchiveReader& in) {
     Transfer t;
     t.from = in.u32();
     t.to = in.u32();
+    DTN_REQUIRE(t.from < nodes_.size() && t.to < nodes_.size() &&
+                    t.from != t.to,
+                "load_state: in-flight transfer endpoints do not fit this "
+                "world");
     t.msg = in.u64();
     t.started = in.f64();
     t.eta = in.f64();
@@ -1271,7 +1190,7 @@ void World::rebuild_event_queues() {
   for (std::size_t i = 0; i < transfers_.size(); ++i) {
     Transfer& t = transfers_[i];
     t.seq = transfer_seq_++;
-    DTN_REQUIRE(t.from < nodes_.size() && outgoing_[t.from] < 0,
+    DTN_REQUIRE(outgoing_[t.from] < 0,
                 "load_state: duplicate sender among in-flight transfers");
     outgoing_[t.from] = static_cast<std::int64_t>(i);
     if (!cfg_.legacy_step) {

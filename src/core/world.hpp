@@ -67,15 +67,17 @@ struct WorldConfig {
   /// benchmarks, not as a feature switch.
   bool legacy_step = false;
   /// Intra-step parallelism (DESIGN.md §11/§16): execution-lane count
-  /// (including the caller) for the event-driven step graph — mobility
-  /// advance, contact candidate enumeration, watch-pair rechecks,
-  /// contact-event estimator updates and TTL candidate classification
-  /// are dependency nodes of one per-step graph dispatched with a single
-  /// epoch bump. 0 (the default) and 1 both mean one inline lane: the
-  /// graph runs its nodes in id order on the calling thread. Any value
-  /// produces bit-identical digest trajectories — extra lanes only
-  /// reorder *computation*, never *application*, and every merge is a
-  /// deterministic concatenation or an exact min/max reduction.
+  /// (including the caller) for the event-driven step graph, a chain of
+  /// six stages dispatched with a single epoch bump. Three of them fan
+  /// out over the lanes — mobility advance, contact candidate
+  /// enumeration plus watch-pair rechecks, and contact-event estimator
+  /// updates; the rest (planning, merging, and the apply stage with
+  /// churn, completions, traffic and TTL) are serial. 0 (the default)
+  /// and 1 both mean one inline lane: the chain runs on the calling
+  /// thread. Any value produces bit-identical digest trajectories —
+  /// extra lanes only reorder *computation*, never *application*, and
+  /// every merge is a deterministic concatenation or an exact min/max
+  /// reduction.
   /// Scenario key: `Parallel.threads`.
   std::size_t threads = 0;
   /// Per-phase wall-clock accounting (PhaseProfile, bench support). Off
@@ -84,11 +86,11 @@ struct WorldConfig {
 };
 
 /// Cumulative wall-clock seconds per step phase (profile_phases only).
-/// At one lane (threads 0 or 1) the step graph runs its nodes in id
-/// order on the caller, and each node stamps its own phase; the legacy
-/// scan loop stamps the same fields. With more lanes the graph-resident
-/// phases overlap in time (per-phase walls would double-count), so the
-/// whole graph run is folded into dispatch_s instead.
+/// At one lane (threads 0 or 1) the step graph runs its stages in order
+/// on the caller, and each stage stamps its own phase; the legacy
+/// scan loop stamps the same fields. With more lanes the parallel stages
+/// run on several threads at once (per-thread stamps would interleave),
+/// so the whole graph run is folded into dispatch_s instead.
 struct PhaseProfile {
   double mobility_s = 0.0;   ///< mobility advance (one lane / legacy)
   double contacts_s = 0.0;   ///< tracker + link churn (one lane / legacy)
@@ -224,19 +226,19 @@ class World {
   /// mobility, tracker update, link churn, scan completions, traffic,
   /// scan TTL, start_transfers.
   void step_legacy();
-  /// The event-driven step (DESIGN.md §16): the phases are dependency
-  /// nodes of one graph dispatched with a single epoch bump, so
-  /// independent phases overlap instead of barriering. Decision- and
-  /// digest-identical to step_legacy at any lane count.
+  /// The event-driven step (DESIGN.md §16): the phases are the stages
+  /// of one chain dispatched with a single epoch bump, and the parallel
+  /// stages fan out over the lanes. Decision- and digest-identical to
+  /// step_legacy at any lane count.
   void step_graph();
   /// Builds the step graph once (kernels capture `this`; per-step item
-  /// counts are refreshed by the planning nodes via set_items).
+  /// counts are refreshed by the planning stages via set_items).
   void build_step_graph();
-  // Graph-node bodies (see build_step_graph for the dependency shape).
+  // Stage bodies (see build_step_graph for the chain).
   void plan_contacts();                 ///< g_plan_: reduce + tracker plan
   void merge_contacts_and_shard_imt();  ///< g_merge_
   void run_imt_groups(std::size_t begin, std::size_t end);  ///< g_imt_
-  void apply_step_events();             ///< g_apply_
+  void apply_step_events();             ///< the serial apply stage
   /// Charges the wall time since the previous stamp to `acc` and restarts
   /// the clock; a no-op unless stamp_phases_ (see PhaseProfile).
   void stamp(double& acc);
@@ -253,22 +255,15 @@ class World {
   void handle_completion(const Transfer& t);
   /// Legacy scan: purges expired copies node by node.
   void scan_ttl();
-  // --- event-phase helpers (graph nodes) ---
-  /// Pops every eta-heap entry due at now_ (tombstones included) into
-  /// eta_due_scratch_ in heap-pop order. Safe to run before link churn:
-  /// aborts never touch the heap, and validity (outgoing_/seq match) is
-  /// checked at apply time.
-  void pop_due_etas();
-  /// Applies eta_due_scratch_ in pop order (the legacy completion order).
-  void apply_completions();
-  /// Admits traffic_scratch_ (filled by MessageGenerator::poll) in order.
+  // --- event-phase helpers (the serial apply stage) ---
+  /// Pops every eta-heap entry due at now_ and completes it, in pop
+  /// order (the legacy completion order); tombstones are skipped.
+  void apply_due_completions();
+  /// Polls the traffic generator and admits its output in order.
   void admit_traffic();
-  /// Pops every expiry-heap entry due at now_ into due_scratch_.
-  void drain_due_ttl();
-  /// Applies the due batch in pop order; when `parallel`, per-entry
-  /// verdicts come from ttl_verdicts_ (filled by the classify node),
-  /// otherwise they are probed inline. Identical outcomes either way.
-  void apply_ttl(bool parallel);
+  /// Pops every expiry-heap entry due at now_ and purges, skips (stale)
+  /// or defers (pinned) it, in pop order.
+  void apply_due_ttl();
   void start_transfers();
   void try_start(NodeId from, NodeId to);
   void handle_drop(Node& n, const Message& m);
@@ -355,12 +350,6 @@ class World {
 
   // --- step-loop scratch, hoisted so a steady-state step allocates
   // nothing (asserted in test_parallel_step) ---
-  struct TtlVerdict {
-    bool has = false;
-    bool pinned = false;
-  };
-  std::vector<ExpiryEvent> due_scratch_;   ///< TTL: due batch, pop order
-  std::vector<TtlVerdict> ttl_verdicts_;   ///< TTL: parallel verdicts
   std::vector<Message> traffic_scratch_;   ///< MessageGenerator::poll output
   std::vector<Transfer> legacy_due_;       ///< legacy completion scan
   std::vector<NodeId> fault_senders_;      ///< apply_fault_events: sorted view
@@ -369,16 +358,13 @@ class World {
   // --- step task graph (DESIGN.md §16) ---
   TaskGraph step_graph_;
   bool graph_built_ = false;
-  int g_mob_ = -1;      ///< parallel: advance mobility (+ displacement max)
-  int g_eta_ = -1;      ///< serial:   pop due completion events
-  int g_poll_ = -1;     ///< serial:   poll the traffic generator
-  int g_plan_ = -1;     ///< serial:   displacement reduce + tracker plan
-  int g_track_ = -1;    ///< parallel: tracker shards
-  int g_merge_ = -1;    ///< serial:   tracker finish + imt event grouping
-  int g_imt_ = -1;      ///< parallel: per-node contact-estimator updates
-  int g_apply_ = -1;    ///< serial:   churn + completions + traffic + drain
-  int g_verdict_ = -1;  ///< parallel: TTL verdict classification
-  int g_ttl_ = -1;      ///< serial:   TTL apply
+  // The chain's stages in run order; the last one, the serial apply
+  // stage (churn, completions, traffic, TTL), is never resized.
+  int g_mob_ = -1;    ///< parallel: advance mobility (+ displacement max)
+  int g_plan_ = -1;   ///< serial:   displacement reduce + tracker plan
+  int g_track_ = -1;  ///< parallel: tracker shards
+  int g_merge_ = -1;  ///< serial:   tracker finish + imt event grouping
+  int g_imt_ = -1;    ///< parallel: per-node contact-estimator updates
   /// One contact-edge event for the hoisted estimator pass: node's view
   /// of a link to peer going up/down. seq is the serial emission order;
   /// groups sorted by (node, seq) preserve each node's event order.
@@ -390,12 +376,10 @@ class World {
   };
   bool mob_want_disp_ = false;             ///< g_mob_: record chunk maxima?
   std::vector<double> mob_chunk_maxd2_;    ///< g_mob_: per-chunk max disp²
-  std::vector<EtaEvent> eta_due_scratch_;  ///< g_eta_ output, pop order
   std::vector<ImtEvent> imt_events_;       ///< g_merge_ output
   std::vector<std::size_t> imt_group_begin_;  ///< group starts + end sentinel
   bool imt_prehandled_ = false;  ///< g_imt_ ran: churn skips note_contact_*
-  const ContactChurn* step_churn_ = nullptr;  ///< g_merge_ -> g_apply_
-  bool ttl_parallel_ = false;    ///< g_apply_ -> g_ttl_: use ttl_verdicts_
+  const ContactChurn* step_churn_ = nullptr;  ///< g_merge_ -> apply stage
   PhaseProfile profile_;
   bool stamp_phases_ = false;  ///< stamp() live this step (see PhaseProfile)
   double stamp_t0_ = 0.0;      ///< wall clock at the previous stamp

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <tuple>
 
 #include "src/snapshot/archive.hpp"
 #include "src/util/error.hpp"
@@ -221,25 +222,35 @@ void ContactTracker::save_state(snapshot::ArchiveWriter& out) const {
   out.end_section();
 }
 
-void ContactTracker::load_state(snapshot::ArchiveReader& in) {
+void ContactTracker::load_state(snapshot::ArchiveReader& in,
+                                std::size_t n_nodes) {
+  // Hostile input: every pair indexes per-node arrays on the next step,
+  // so each must name two distinct nodes of this world, normalized and
+  // strictly ascending — the form save_state always writes.
   in.begin_section("contacts");
   current_.clear();
   using R = snapshot::ArchiveReader;
   const std::uint64_t n = in.count(2 * R::kU64Bytes);
   current_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto a = static_cast<std::size_t>(in.u64());
-    const auto b = static_cast<std::size_t>(in.u64());
-    current_.emplace_back(a, b);
+    const std::uint64_t a = in.u64();
+    const std::uint64_t b = in.u64();
+    DTN_REQUIRE(a < b && b < n_nodes,
+                "contacts: snapshot pair is not normalized or names a node "
+                "outside this world");
+    const NodePair p(static_cast<std::size_t>(a), static_cast<std::size_t>(b));
+    DTN_REQUIRE(current_.empty() || current_.back() < p,
+                "contacts: snapshot pair set not strictly ascending");
+    current_.push_back(p);
   }
-  DTN_REQUIRE(std::is_sorted(current_.begin(), current_.end()),
-              "contacts: snapshot pair set not sorted");
   if (in.version() >= 3) {
     slack_ = in.f64();
     budget_ = in.f64();
     have_prev_ = in.boolean();
     prev_.clear();
     const std::uint64_t np = in.count(2 * R::kF64Bytes);
+    DTN_REQUIRE(np == 0 || np == n_nodes,
+                "contacts: snapshot position count does not match the world");
     prev_.reserve(np);
     for (std::uint64_t i = 0; i < np; ++i) {
       const double x = in.f64();
@@ -247,13 +258,19 @@ void ContactTracker::load_state(snapshot::ArchiveReader& in) {
       prev_.push_back({x, y});
     }
     watch_.clear();
-    const std::uint64_t nw = in.count(2 * R::kU32Bytes);
+    const std::uint64_t nw = in.count(2 * R::kU32Bytes + R::kBoolBytes);
     watch_.reserve(nw);
     for (std::uint64_t i = 0; i < nw; ++i) {
       WatchPair wp;
       wp.i = in.u32();
       wp.j = in.u32();
       wp.in_contact = in.boolean();
+      DTN_REQUIRE(wp.i < wp.j && wp.j < n_nodes,
+                  "contacts: snapshot watch pair is not normalized or names "
+                  "a node outside this world");
+      DTN_REQUIRE(watch_.empty() || std::tie(watch_.back().i, watch_.back().j) <
+                                        std::tie(wp.i, wp.j),
+                  "contacts: snapshot watch pairs not strictly ascending");
       watch_.push_back(wp);
     }
   } else {

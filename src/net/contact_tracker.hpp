@@ -87,9 +87,9 @@ class ContactTracker {
   const ContactChurn& update(const std::vector<Vec2>& positions);
 
   // --- staged update (task-graph integration, DESIGN.md §16) ---
-  // The World's step graph drives the update as three dependency nodes
-  // so the parallel middle stage overlaps other step phases instead of
-  // barriering on a nested dispatch:
+  // The World's step graph drives the update as three consecutive
+  // stages, so the parallel middle stage runs on the step's lanes
+  // without a nested dispatch:
   //   plan_update (serial)  — charges the kinetic budget, rebuilds the
   //                           grid when a full pass is due, sizes shards;
   //   run_shard   (parallel)— one call per shard in [0, stage_shards());
@@ -152,9 +152,10 @@ class ContactTracker {
   /// into digests); the kinetic bookkeeping (slack, remaining budget,
   /// last-seen positions) is derived-but-deterministic and is carried
   /// only in buffered checkpoints so a restored run skips the same steps
-  /// an uninterrupted one does.
+  /// an uninterrupted one does. load_state refuses pairs that do not fit
+  /// an `n_nodes` fleet.
   void save_state(snapshot::ArchiveWriter& out) const;
-  void load_state(snapshot::ArchiveReader& in);
+  void load_state(snapshot::ArchiveReader& in, std::size_t n_nodes);
 
  private:
   /// A pair near the range boundary, re-checked exactly on skip steps.

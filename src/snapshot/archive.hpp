@@ -141,6 +141,7 @@ class ArchiveReader {
   static constexpr std::size_t kU32Bytes = 5;
   static constexpr std::size_t kU64Bytes = 9;
   static constexpr std::size_t kF64Bytes = 9;
+  static constexpr std::size_t kBoolBytes = 2;
 
   /// Reads a u64 element count and requires that many elements of at
   /// least `elem_bytes` encoded bytes each to fit in the unread stream,

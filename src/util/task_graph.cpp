@@ -23,44 +23,40 @@ inline void cpu_pause() {
 // between runs.
 constexpr int kSpinIters = 2048;
 
-// Idle sweeps inside drain() before yielding the core: covers the
-// window where every ready chunk is claimed but not yet complete.
+// Idle polls inside drain() before yielding the core: covers the
+// window where every chunk of the current stage is claimed but not yet
+// complete.
 constexpr int kDrainYieldEvery = 256;
 
 }  // namespace
 
-int TaskGraph::add(TaskKernel fn, std::size_t grain,
-                   std::initializer_list<int> deps) {
+int TaskGraph::add(TaskKernel fn, std::size_t grain) {
   DTN_REQUIRE(grain >= 1, "TaskGraph: grain must be >= 1");
-  const int id = static_cast<int>(nodes_.size());
-  nodes_.emplace_back();
-  Node& nd = nodes_.back();
-  nd.fn = std::move(fn);
-  nd.grain = grain;
-  for (int d : deps) {
-    DTN_REQUIRE(d >= 0 && d < id, "TaskGraph: dependency must precede node");
-    nodes_[static_cast<std::size_t>(d)].successors.push_back(id);
-    ++nd.dep_count;
-  }
+  const int id = static_cast<int>(stages_.size());
+  stages_.emplace_back();
+  Stage& st = stages_.back();
+  st.fn = std::move(fn);
+  st.grain = grain;
   return id;
 }
 
-int TaskGraph::add_serial(TaskKernel fn, std::initializer_list<int> deps) {
-  const int id = add(std::move(fn), /*grain=*/1, deps);
-  nodes_[static_cast<std::size_t>(id)].items = 1;
+int TaskGraph::add_serial(TaskKernel fn) {
+  const int id = add(std::move(fn), /*grain=*/1);
+  stages_[static_cast<std::size_t>(id)].items = 1;
   return id;
 }
 
 void TaskGraph::set_items(int id, std::size_t items) {
-  Node& nd = nodes_[static_cast<std::size_t>(id)];
-  nd.items = items;
-  // Keep chunk_count coherent so a *predecessor* node may size this one
-  // mid-run: the write happens before the predecessor's finish_node
-  // releases the final dependency (acq_rel), so every lane that claims a
-  // chunk — or the finisher that completes a zero-chunk node — observes
-  // it. Only legal from code that runs strictly before this node is
-  // readied (a dependency's kernel, or between runs).
-  nd.chunk_count = items == 0 ? 0 : (items + nd.grain - 1) / nd.grain;
+  Stage& st = stages_[static_cast<std::size_t>(id)];
+  st.items = items;
+  // Keep chunk_count coherent so an *earlier* stage may size this one
+  // mid-run: the write happens before that stage's last chunk completes
+  // (acq_rel), and the lane completing it publishes the next stage with
+  // a release store, so every lane that claims a chunk here — or the
+  // lane deciding to skip this stage — observes it. Only legal from
+  // code that runs strictly before this stage (an earlier stage's
+  // kernel, or between runs).
+  st.chunk_count = items == 0 ? 0 : (items + st.grain - 1) / st.grain;
 }
 
 TaskExecutor::TaskExecutor(std::size_t lanes) {
@@ -68,7 +64,6 @@ TaskExecutor::TaskExecutor(std::size_t lanes) {
   workers_.reserve(helpers);
   for (std::size_t i = 0; i < helpers; ++i)
     workers_.emplace_back([this] { worker_loop(); });
-  flat_id_ = flat_.add(TaskKernel{}, /*grain=*/1);
 }
 
 TaskExecutor::~TaskExecutor() {
@@ -84,34 +79,23 @@ void TaskExecutor::prepare(TaskGraph& g) {
   // Reset every per-run counter *before* the graph is published via
   // active_ (release store) so any helper that observes the graph
   // sees fully initialized state.
-  nodes_remaining_.store(g.nodes_.size(), std::memory_order_relaxed);
-  for (TaskGraph::Node& nd : g.nodes_) {
-    nd.chunk_count = nd.items == 0 ? 0 : (nd.items + nd.grain - 1) / nd.grain;
-    nd.deps_remaining.store(nd.dep_count, std::memory_order_relaxed);
-    nd.next_chunk.store(0, std::memory_order_relaxed);
-    nd.chunks_done.store(0, std::memory_order_relaxed);
+  for (TaskGraph::Stage& st : g.stages_) {
+    st.chunk_count = st.items == 0 ? 0 : (st.items + st.grain - 1) / st.grain;
+    st.next_chunk.store(0, std::memory_order_relaxed);
+    st.chunks_done.store(0, std::memory_order_relaxed);
   }
-  // Zero-chunk roots complete immediately (single-threaded, before
-  // publish); finish_node cascades through any zero-chunk successors.
-  for (std::size_t i = 0; i < g.nodes_.size(); ++i) {
-    TaskGraph::Node& nd = g.nodes_[i];
-    if (nd.dep_count == 0 && nd.chunk_count == 0)
-      finish_node(g, static_cast<int>(i));
-  }
+  advance(g, 0);
 }
 
 void TaskExecutor::run(TaskGraph& g) {
   if (workers_.empty()) {
-    // Inline fast path: add() only accepts dependencies that precede a
-    // node, so id order is a topological order, and one sweep in id
-    // order runs every node after all of its dependencies — with no
-    // claim cursors or dependency counters. A count set by a predecessor
-    // (set_items) is read when the sweep reaches the node. Exceptions
-    // propagate directly; there is no per-run state to reset.
-    for (TaskGraph::Node& nd : g.nodes_) {
-      const TaskKernel& fn = nd.ext != nullptr ? *nd.ext : nd.fn;
-      for (std::size_t b = 0; b < nd.items; b += nd.grain) {
-        fn(b, std::min(nd.items, b + nd.grain));
+    // Inline fast path: one sweep in stage order, with no claim cursors.
+    // A count set by an earlier stage (set_items) is read when the sweep
+    // reaches the stage. Exceptions propagate directly; there is no
+    // per-run state to reset.
+    for (TaskGraph::Stage& st : g.stages_) {
+      for (std::size_t b = 0; b < st.items; b += st.grain) {
+        st.fn(b, std::min(st.items, b + st.grain));
       }
     }
     return;
@@ -135,27 +119,6 @@ void TaskExecutor::run(TaskGraph& g) {
   // zero makes it safe to prepare() the next run (or destroy graphs).
   while (in_flight_.load(std::memory_order_acquire) != 0) cpu_pause();
   if (failed_.load(std::memory_order_relaxed)) std::rethrow_exception(err_);
-}
-
-void TaskExecutor::for_each(std::size_t n, std::size_t grain,
-                            const TaskKernel& fn) {
-  DTN_REQUIRE(grain >= 1, "TaskExecutor: grain must be >= 1");
-  if (n == 0) return;
-  if (workers_.empty() || n <= grain) {
-    fn(0, n);  // exceptions propagate naturally
-    return;
-  }
-  TaskGraph::Node& nd = flat_.nodes_[static_cast<std::size_t>(flat_id_)];
-  nd.ext = &fn;  // borrow — the caller's kernel is never copied
-  nd.items = n;
-  nd.grain = grain;
-  try {
-    run(flat_);
-  } catch (...) {
-    nd.ext = nullptr;
-    throw;
-  }
-  nd.ext = nullptr;
 }
 
 void TaskExecutor::worker_loop() {
@@ -185,66 +148,53 @@ void TaskExecutor::worker_loop() {
 
 void TaskExecutor::drain(TaskGraph& g) {
   int idle = 0;
-  while (nodes_remaining_.load(std::memory_order_acquire) != 0 &&
-         !failed_.load(std::memory_order_relaxed)) {
-    bool did_work = false;
-    for (std::size_t i = 0; i < g.nodes_.size(); ++i) {
-      TaskGraph::Node& nd = g.nodes_[i];
-      if (nd.deps_remaining.load(std::memory_order_acquire) != 0) continue;
-      if (nd.next_chunk.load(std::memory_order_relaxed) >= nd.chunk_count)
+  for (;;) {
+    const std::size_t id = stage_.load(std::memory_order_acquire);
+    if (id >= g.stages_.size() || failed_.load(std::memory_order_relaxed))
+      return;
+    TaskGraph::Stage& st = g.stages_[id];
+    if (st.next_chunk.load(std::memory_order_relaxed) < st.chunk_count) {
+      const std::size_t c =
+          st.next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c < st.chunk_count) {
+        idle = 0;
+        run_chunk(g, id, c);
         continue;
-      for (;;) {
-        const std::size_t c =
-            nd.next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= nd.chunk_count) break;
-        did_work = true;
-        run_chunk(g, static_cast<int>(i), c);
-        if (failed_.load(std::memory_order_relaxed)) return;
       }
     }
-    if (!did_work) {
-      if (++idle >= kDrainYieldEvery) {
-        idle = 0;
-        std::this_thread::yield();
-      } else {
-        cpu_pause();
-      }
-    } else {
+    // Every chunk of this stage is claimed: wait for the lane completing
+    // the last one to publish the next stage.
+    if (++idle >= kDrainYieldEvery) {
       idle = 0;
+      std::this_thread::yield();
+    } else {
+      cpu_pause();
     }
   }
 }
 
-void TaskExecutor::run_chunk(TaskGraph& g, int id, std::size_t chunk) {
-  TaskGraph::Node& nd = g.nodes_[static_cast<std::size_t>(id)];
-  const std::size_t begin = chunk * nd.grain;
-  const std::size_t end = std::min(nd.items, begin + nd.grain);
-  const TaskKernel& fn = nd.ext != nullptr ? *nd.ext : nd.fn;
+void TaskExecutor::run_chunk(TaskGraph& g, std::size_t id,
+                             std::size_t chunk) {
+  TaskGraph::Stage& st = g.stages_[id];
+  const std::size_t begin = chunk * st.grain;
+  const std::size_t end = std::min(st.items, begin + st.grain);
   try {
-    fn(begin, end);
+    st.fn(begin, end);
   } catch (...) {
     capture_exception();
     return;  // abandon the run; counters are reset by the next prepare()
   }
   // acq_rel chain: the final increment synchronizes with every prior
-  // chunk's increment, so finish_node observes all chunk writes.
+  // chunk's increment, so the next stage (published by advance's release
+  // store) observes all chunk writes.
   const std::size_t done =
-      nd.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (done == nd.chunk_count) finish_node(g, id);
+      st.chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (done == st.chunk_count) advance(g, id + 1);
 }
 
-void TaskExecutor::finish_node(TaskGraph& g, int id) {
-  TaskGraph::Node& nd = g.nodes_[static_cast<std::size_t>(id)];
-  for (int s : nd.successors) {
-    TaskGraph::Node& sn = g.nodes_[static_cast<std::size_t>(s)];
-    // acq_rel: the claimer of the successor's first chunk acquires all
-    // predecessor writes through this decrement chain.
-    if (sn.deps_remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        sn.chunk_count == 0) {
-      finish_node(g, s);  // zero-chunk node: whoever readies it, finishes it
-    }
-  }
-  nodes_remaining_.fetch_sub(1, std::memory_order_release);
+void TaskExecutor::advance(TaskGraph& g, std::size_t id) {
+  while (id < g.stages_.size() && g.stages_[id].chunk_count == 0) ++id;
+  stage_.store(id, std::memory_order_release);
 }
 
 void TaskExecutor::capture_exception() {

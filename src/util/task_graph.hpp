@@ -1,6 +1,6 @@
 #pragma once
 /// \file task_graph.hpp
-/// Persistent-worker task-graph executor for intra-step parallelism.
+/// Persistent-worker stage-chain executor for intra-step parallelism.
 ///
 /// Motivation (DESIGN.md §16): the original `parallel_for_index` path
 /// forks and joins the thread pool at every phase boundary of every
@@ -9,84 +9,75 @@
 /// phase. At step rates of 10^4..10^6/s the barrier overhead dominates
 /// and parallel runs measure *slower* than serial. This executor keeps
 /// a fixed set of workers parked on one epoch counter; dispatching a
-/// whole step's task graph is a single atomic bump + notify, chunks
-/// are claimed from preallocated per-node atomic cursors (zero
-/// steady-state allocations), and a worker finishing one node's chunks
-/// immediately pulls the next *ready* node instead of joining a
-/// barrier.
+/// whole step's stage chain is a single atomic bump + notify, chunks
+/// are claimed from preallocated per-stage atomic cursors (zero
+/// steady-state allocations), and the lane finishing a stage's last
+/// chunk advances every lane to the next stage.
 ///
 /// Determinism contract: the executor never decides *what* work runs,
-/// only *when*. Nodes declare dependencies; kernels must write
-/// disjoint, index-addressed outputs. All cross-phase reductions and
-/// merges are performed inside single-chunk (serial) nodes in a
-/// canonical order, so simulation results are bit-identical at any
-/// lane count — the same contract the fork-join path upheld.
+/// only *when*. Stages run strictly in the order they were added;
+/// kernels must write disjoint, index-addressed outputs. All cross-stage
+/// reductions and merges are performed inside single-chunk (serial)
+/// stages in a canonical order, so simulation results are bit-identical
+/// at any lane count.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <initializer_list>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include <condition_variable>
-
 namespace dtn {
 
-/// A range kernel: process items [begin, end). Serial nodes receive
+/// A range kernel: process items [begin, end). Serial stages receive
 /// (0, 1) and may ignore the arguments.
 using TaskKernel = std::function<void(std::size_t begin, std::size_t end)>;
 
-/// A reusable dependency graph of range kernels. Build once (node
-/// kernels may capture `this` of the owning system), then re-run every
-/// step via TaskExecutor::run after refreshing per-run item counts
-/// with set_items. Adding nodes allocates; running does not.
+/// A reusable chain of range-kernel stages. Build once (stage kernels
+/// may capture `this` of the owning system), then re-run every step via
+/// TaskExecutor::run after refreshing per-run item counts with
+/// set_items. Adding stages allocates; running does not.
 class TaskGraph {
  public:
-  /// Adds a node. `grain` is the max chunk width handed to one worker
-  /// at a time; `deps` are node ids returned by earlier add() calls.
-  /// Returns the node id. Item count defaults to 0 (node is a no-op
-  /// until set_items is called; dependency edges still fire).
-  int add(TaskKernel fn, std::size_t grain,
-          std::initializer_list<int> deps = {});
+  /// Appends a stage that runs after every earlier stage has finished.
+  /// `grain` is the max chunk width handed to one worker at a time.
+  /// Returns the stage id. Item count defaults to 0 (the stage is
+  /// skipped until set_items is called).
+  int add(TaskKernel fn, std::size_t grain);
 
-  /// Convenience for a serial node: one chunk, kernel sees (0, 1).
-  int add_serial(TaskKernel fn, std::initializer_list<int> deps = {});
+  /// Convenience for a serial stage: one chunk, kernel sees (0, 1).
+  int add_serial(TaskKernel fn);
 
   /// Sets the item count for the next run. A count of 0 skips the
-  /// kernel entirely (the node still completes and releases its
-  /// successors). May also be called *during* a run from a kernel of
-  /// one of this node's dependencies — the count becomes visible when
-  /// that dependency completes — which lets a serial planning node size
-  /// the parallel stage it feeds.
+  /// kernel entirely. May also be called *during* a run from the kernel
+  /// of an earlier stage — the count becomes visible when that stage
+  /// finishes — which lets a serial planning stage size the parallel
+  /// stage it feeds.
   void set_items(int id, std::size_t items);
 
-  std::size_t size() const { return nodes_.size(); }
+  std::size_t size() const { return stages_.size(); }
 
  private:
   friend class TaskExecutor;
 
-  struct Node {
-    TaskKernel fn;                   ///< set at build time; never re-bound
-    const TaskKernel* ext = nullptr; ///< borrowed kernel (for_each fast path)
-    std::vector<int> successors;
-    int dep_count = 0;               ///< static in-degree
+  struct Stage {
+    TaskKernel fn;  ///< set at build time; never re-bound
     std::size_t items = 0;
     std::size_t grain = 1;
     // Per-run state, reset by TaskExecutor::prepare before publishing.
     std::size_t chunk_count = 0;
-    std::atomic<int> deps_remaining{0};
     std::atomic<std::size_t> next_chunk{0};
     std::atomic<std::size_t> chunks_done{0};
   };
 
-  // deque: Node holds atomics (immovable); ids stay stable as the
-  // graph grows.
-  std::deque<Node> nodes_;
+  // deque: Stage holds atomics (immovable); ids stay stable as the
+  // chain grows.
+  std::deque<Stage> stages_;
 };
 
 /// Executes TaskGraphs on `lanes` total execution lanes *including the
@@ -95,7 +86,7 @@ class TaskGraph {
 /// parks k-1 persistent helpers. Dispatch is epoch-counted: helpers
 /// spin briefly on the epoch atomic, then block on one condition
 /// variable; a run() is one epoch bump + notify_all, with no thread
-/// spawn/join and no per-phase condvar churn.
+/// spawn/join and no per-stage condvar churn.
 class TaskExecutor {
  public:
   explicit TaskExecutor(std::size_t lanes);
@@ -107,22 +98,19 @@ class TaskExecutor {
   /// Total lanes including the caller (>= 1).
   std::size_t lanes() const { return workers_.size() + 1; }
 
-  /// Runs the graph to completion; the caller participates. The first
+  /// Runs the chain to completion; the caller participates. The first
   /// exception thrown by any kernel is rethrown here (remaining work
   /// is abandoned; the graph is safely reusable afterwards).
   void run(TaskGraph& g);
-
-  /// Flat parallel-for over [0, n) with the given grain. The kernel
-  /// is *borrowed*, never copied — no allocation on the hot path.
-  /// Replaces the chunked parallel_for_index for in-step phases.
-  void for_each(std::size_t n, std::size_t grain, const TaskKernel& fn);
 
  private:
   void worker_loop();
   void prepare(TaskGraph& g);
   void drain(TaskGraph& g);
-  void run_chunk(TaskGraph& g, int id, std::size_t chunk);
-  void finish_node(TaskGraph& g, int id);
+  void run_chunk(TaskGraph& g, std::size_t id, std::size_t chunk);
+  /// Publishes the first stage at or after `id` that has chunks to run
+  /// (g.size() when none is left: the run is over).
+  void advance(TaskGraph& g, std::size_t id);
   void capture_exception();
 
   std::vector<std::thread> workers_;
@@ -131,14 +119,11 @@ class TaskExecutor {
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<TaskGraph*> active_{nullptr};
   std::atomic<int> in_flight_{0};
-  std::atomic<std::size_t> nodes_remaining_{0};
+  std::atomic<std::size_t> stage_{0};  ///< the stage lanes claim from
   std::atomic<bool> failed_{false};
   std::atomic<bool> stop_{false};
   std::mutex err_mutex_;
   std::exception_ptr err_;
-
-  TaskGraph flat_;      ///< single-node graph backing for_each
-  int flat_id_ = -1;
 };
 
 }  // namespace dtn

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/buffer/fifo.hpp"
@@ -199,6 +200,111 @@ TEST(EventCoreHeaps, AbortTombstonesDoNotCompleteLater) {
   EXPECT_EQ(w->stats().delivered, 1u);
   EXPECT_EQ(w->stats().transfers_started,
             w->stats().transfers_completed + w->stats().transfers_aborted);
+}
+
+/// Records TTL purges (in order) and counts aborted transfers.
+struct ExpiryCounter : WorldObserver {
+  std::vector<std::pair<NodeId, MessageId>> expired;
+  std::size_t aborted = 0;
+  void on_ttl_expired(NodeId node, const Message& m, SimTime) override {
+    expired.emplace_back(node, m.id);
+  }
+  void on_transfer_aborted(const Transfer&) override { ++aborted; }
+};
+
+struct DuplicateEntryRun {
+  std::vector<std::uint64_t> digests;  ///< after every step
+  std::vector<std::pair<NodeId, MessageId>> expired;
+  std::size_t aborted = 0;
+  bool relay_held_x_at_expiry = false;
+};
+
+/// Node 1 receives message X from node 0, loses it to an eviction and
+/// receives it again, so its expiry heap holds two entries for (1, X)
+/// with the same expiry (created + ttl is fixed per id). At that expiry
+/// node 1 is mid-transfer of X to node 2: X is pinned, both entries are
+/// deferred and re-pushed. Then either the transfer completes (X died in
+/// flight) or, with `abort`, the link breaks first and the next pop
+/// purges X.
+DuplicateEntryRun run_duplicate_expiry(bool legacy, std::size_t threads,
+                                       bool abort) {
+  WorldConfig cfg;
+  cfg.step = 1.0;
+  cfg.duration = 400.0;
+  cfg.range = 10.0;
+  cfg.bandwidth = 10.0;  // 100-byte message -> 10 s transfer
+  cfg.legacy_step = legacy;
+  cfg.threads = threads;
+  auto w = std::make_unique<World>(cfg);
+  w->set_router(std::make_unique<SprayAndWaitRouter>());
+  w->set_policy(std::make_unique<FifoPolicy>());
+  w->add_node(std::make_unique<StationaryModel>(Vec2{0, 0}), 10000);
+  w->add_node(std::make_unique<StationaryModel>(Vec2{5, 0}), 150);
+  w->add_node(std::make_unique<StationaryModel>(Vec2{1000, 0}), 10000);
+  w->add_node(std::make_unique<StationaryModel>(Vec2{9000, 0}), 10000);
+  ExpiryCounter counter;
+  w->add_observer(&counter);
+  auto& relay = dynamic_cast<StationaryModel&>(w->node(1).mobility());
+  auto& peer = dynamic_cast<StationaryModel&>(w->node(2).mobility());
+  constexpr MessageId kX = 1;
+  EXPECT_TRUE(w->inject_message(msg(kX, 0, 3, 8, 0.0, /*ttl=*/200.0)));
+
+  DuplicateEntryRun out;
+  for (int t = 1; t <= 230; ++t) {
+    switch (t) {
+      case 15:  // first copy of X arrived at t = 11; leave
+        EXPECT_TRUE(w->node(1).buffer().has(kX));
+        relay.move_to({3000, 0});
+        break;
+      case 20:  // a local message evicts X (FIFO: longest resident)
+        EXPECT_TRUE(w->inject_message(msg(2, 1, 3, 1, 19.0, 1000.0)));
+        EXPECT_FALSE(w->node(1).buffer().has(kX));
+        relay.move_to({5, 0});  // back to node 0: X is sent again
+        break;
+      case 40:  // second copy arrived at t = 30; meet node 2 later
+        EXPECT_TRUE(w->node(1).buffer().has(kX));
+        relay.move_to({3000, 0});
+        break;
+      case 195:  // X (copies 2) goes to node 2 over t = 195..205
+        peer.move_to({3005, 0});
+        break;
+      case 202:  // the link breaks in this step, before the completion
+        if (abort) peer.move_to({9000, 500});
+        break;
+      default:
+        break;
+    }
+    w->step();
+    if (t == 200) out.relay_held_x_at_expiry = w->node(1).buffer().has(kX);
+    out.digests.push_back(w->digest());
+  }
+  out.expired = counter.expired;
+  out.aborted = counter.aborted;
+  return out;
+}
+
+TEST(EventCoreHeaps, DuplicateExpiryEntriesActOnceLikeLegacy) {
+  for (const bool abort : {false, true}) {
+    const DuplicateEntryRun legacy = run_duplicate_expiry(true, 0, abort);
+    // Node 0's copy expires at t = 200; node 1's is pinned then and
+    // deferred by both of its entries.
+    EXPECT_TRUE(legacy.relay_held_x_at_expiry) << "abort=" << abort;
+    const std::vector<std::pair<NodeId, MessageId>> want = {{0, 1}, {1, 1}};
+    EXPECT_EQ(legacy.expired, want) << "abort=" << abort;
+    EXPECT_EQ(legacy.aborted, 1u) << "abort=" << abort;
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+      const DuplicateEntryRun graph = run_duplicate_expiry(false, threads,
+                                                           abort);
+      EXPECT_TRUE(graph.relay_held_x_at_expiry)
+          << "abort=" << abort << " threads=" << threads;
+      EXPECT_EQ(graph.expired, want)
+          << "abort=" << abort << " threads=" << threads;
+      EXPECT_EQ(graph.aborted, 1u)
+          << "abort=" << abort << " threads=" << threads;
+      EXPECT_EQ(graph.digests, legacy.digests)
+          << "abort=" << abort << " threads=" << threads;
+    }
+  }
 }
 
 TEST(EventCoreConfig, LegacyStepRoundTripsThroughSettings) {

@@ -214,11 +214,10 @@ Message short_ttl_msg(MessageId id, NodeId src, NodeId dst, double ttl) {
   return m;
 }
 
-TEST(ParallelTtl, BatchedExpiryVerdictsMatchOneLane) {
-  // A mass expiry (hundreds of messages dying in one step) crosses the
-  // parallel-classification threshold on two lanes; the verdict batch
-  // must reproduce the one-lane inline probes' pop-order outcome exactly.
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+TEST(ParallelTtl, MassExpiryMatchesOneLane) {
+  // A mass expiry (hundreds of messages dying in one step) on several
+  // lanes must reproduce the one-lane run's outcome exactly.
+  auto build = [](std::size_t threads) {
     WorldConfig cfg;
     cfg.step = 1.0;
     cfg.duration = 200.0;
@@ -237,32 +236,19 @@ TEST(ParallelTtl, BatchedExpiryVerdictsMatchOneLane) {
     MessageId id = 1;
     for (NodeId n = 0; n < 8; ++n) {
       for (int k = 0; k < 40; ++k) {  // 320 copies expiring at t=50
-        ASSERT_TRUE(w->inject_message(
+        EXPECT_TRUE(w->inject_message(
             short_ttl_msg(id++, n, (n + 1) % 8, /*ttl=*/50.0)));
       }
     }
     w->run_until(60.0);
+    return w;
+  };
+  const auto one_lane = build(0);
+  EXPECT_EQ(one_lane->stats().ttl_expired, 320u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const auto w = build(threads);
     EXPECT_EQ(w->stats().ttl_expired, 320u) << "threads=" << threads;
-    if (threads == 0) continue;
-    // Same script on one lane: end digests must agree.
-    cfg.threads = 0;
-    auto ws = std::make_unique<World>(cfg);
-    ws->set_router(std::make_unique<SprayAndWaitRouter>());
-    ws->set_policy(std::make_unique<FifoPolicy>());
-    for (int i = 0; i < 8; ++i) {
-      ws->add_node(std::make_unique<StationaryModel>(
-                       Vec2{static_cast<double>(i) * 1000.0, 0.0}),
-                   1'000'000);
-    }
-    MessageId sid = 1;
-    for (NodeId n = 0; n < 8; ++n) {
-      for (int k = 0; k < 40; ++k) {
-        ASSERT_TRUE(ws->inject_message(
-            short_ttl_msg(sid++, n, (n + 1) % 8, /*ttl=*/50.0)));
-      }
-    }
-    ws->run_until(60.0);
-    EXPECT_EQ(w->digest(), ws->digest());
+    EXPECT_EQ(w->digest(), one_lane->digest()) << "threads=" << threads;
   }
 }
 

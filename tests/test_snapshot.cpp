@@ -537,6 +537,99 @@ TEST(SnapshotHostile, NonCanonicalDroppedListIsAPreconditionError) {
   }
 }
 
+TEST(SnapshotHostile, OutOfRangeContactPairIsAPreconditionError) {
+  // Contact pairs, watch pairs and transfer endpoints index per-node
+  // arrays on the next step: a pair naming node ~2^31 restored fine and
+  // then read far outside the radio-state vector in try_start. Each
+  // edit below keeps the pair lists sorted, so only the range and
+  // normalization checks can catch it.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  ASSERT_FALSE(world->contacts().current().empty());
+  ASSERT_FALSE(world->transfers_in_flight().empty());
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+
+  using R = snapshot::ArchiveReader;
+  const auto le64_at = [&clean](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(clean[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  // The "contacts" section: u64 pair count, u64 pairs, f64 slack, f64
+  // budget, bool, u64 position count and f64 positions, u64 watch-pair
+  // count and (u32, u32, bool) watch pairs, then the section end. The
+  // world's transfer list follows: u64 count, then per transfer u32
+  // from, u32 to, u64 msg and two f64 times.
+  const std::string name = "contacts";
+  std::size_t body = std::string::npos;
+  for (auto it = clean.begin();
+       (it = std::search(it, clean.end(), name.begin(), name.end())) !=
+       clean.end();
+       ++it) {
+    const auto at = static_cast<std::size_t>(it - clean.begin());
+    if (at >= 9 && le64_at(at - 8) == name.size() &&
+        clean[at - 9] == static_cast<std::uint8_t>(snapshot::Tag::kSectionBegin)) {
+      body = at + name.size();
+      break;
+    }
+  }
+  ASSERT_NE(body, std::string::npos);
+  const std::uint64_t n_pairs = le64_at(body + 1);
+  ASSERT_EQ(n_pairs, world->contacts().current().size());
+  const std::size_t last_pair = body + R::kU64Bytes + (n_pairs - 1) * 2 * R::kU64Bytes;
+  const std::size_t positions = body + R::kU64Bytes + n_pairs * 2 * R::kU64Bytes +
+                                2 * R::kF64Bytes + R::kBoolBytes;
+  const std::uint64_t n_pos = le64_at(positions + 1);
+  const std::size_t watch = positions + R::kU64Bytes + n_pos * 2 * R::kF64Bytes;
+  const std::uint64_t n_watch = le64_at(watch + 1);
+  ASSERT_GT(n_watch, 0u);
+  const std::size_t last_watch =
+      watch + R::kU64Bytes + (n_watch - 1) * (2 * R::kU32Bytes + R::kBoolBytes);
+  const std::size_t transfers =
+      watch + R::kU64Bytes + n_watch * (2 * R::kU32Bytes + R::kBoolBytes) + 1;
+  ASSERT_EQ(clean[transfers], static_cast<std::uint8_t>(snapshot::Tag::kU64));
+  ASSERT_EQ(le64_at(transfers + 1), world->transfers_in_flight().size());
+  const std::size_t from0 = transfers + R::kU64Bytes;
+  const std::size_t to0 = from0 + R::kU32Bytes;
+  {
+    snapshot::ArchiveReader in{std::vector<std::uint8_t>(clean)};
+    EXPECT_NO_THROW(snapshot::restore_world(in));  // the clean bytes load
+  }
+  const std::uint64_t n_nodes = world->node_count();
+  const std::size_t first_at = last_pair + 1;
+  const std::size_t second_at = last_pair + R::kU64Bytes + 1;
+  const std::uint64_t sender = le64_at(from0 + 1) & 0xffffffffu;  // u32
+  struct Write {
+    std::size_t at;  ///< payload offset
+    std::uint64_t value;
+    int width;
+  };
+  const std::pair<const char*, std::vector<Write>> edits[] = {
+      {"contact pair naming node 2^31", {{second_at, std::uint64_t{1} << 31, 8}}},
+      {"contact pair naming node n", {{second_at, n_nodes, 8}}},
+      {"contact pair not normalized",
+       {{first_at, le64_at(second_at), 8}, {second_at, le64_at(first_at), 8}}},
+      {"watch pair naming node n", {{last_watch + R::kU32Bytes + 1, n_nodes, 4}}},
+      {"transfer to node n", {{to0 + 1, n_nodes, 4}}},
+      {"transfer to its own sender", {{to0 + 1, sender, 4}}},
+  };
+  for (const auto& [what, writes] : edits) {
+    std::vector<std::uint8_t> bytes = clean;
+    for (const Write& w : writes) {
+      for (int i = 0; i < w.width; ++i) {
+        bytes[w.at + i] = static_cast<std::uint8_t>(w.value >> (8 * i));
+      }
+    }
+    snapshot::ArchiveReader in(std::move(bytes));
+    EXPECT_THROW(snapshot::restore_world(in), PreconditionError) << what;
+  }
+}
+
 // --- digest determinism regression ---
 
 TEST(Digest, SameSeedSameDigestTrajectory) {

@@ -1,9 +1,9 @@
 /// \file test_task_graph.cpp
-/// Unit tests for the persistent-worker task-graph executor: chunk
-/// coverage at awkward grain boundaries, dependency ordering,
-/// zero-item nodes, the single-lane inline fast path, exception
-/// propagation, and reuse across many runs (the per-step dispatch
-/// pattern World relies on).
+/// Unit tests for the persistent-worker stage-chain executor: chunk
+/// coverage at awkward grain boundaries, stage ordering, zero-item
+/// stages, the single-lane inline fast path, exception propagation,
+/// and reuse across many runs (the per-step dispatch pattern World
+/// relies on).
 
 #include "src/util/task_graph.hpp"
 
@@ -12,25 +12,33 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dtn {
 namespace {
 
-TEST(TaskExecutor, ForEachCoversEveryIndexExactlyOnce) {
-  TaskExecutor ex(4);
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                        std::size_t{64}, std::size_t{65}, std::size_t{1000}}) {
-    for (std::size_t grain : {std::size_t{1}, std::size_t{8}, std::size_t{64},
-                              std::size_t{2000}}) {
-      std::vector<std::atomic<int>> hits(n);
-      TaskKernel k = [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      };
-      ex.for_each(n, grain, k);
-      for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " grain=" << grain
-                                     << " i=" << i;
+TEST(TaskExecutor, OneStageCoversEveryIndexExactlyOnce) {
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+    TaskExecutor ex(lanes);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                          std::size_t{64}, std::size_t{65},
+                          std::size_t{1000}}) {
+      for (std::size_t grain : {std::size_t{1}, std::size_t{8},
+                                std::size_t{64}, std::size_t{2000}}) {
+        std::vector<std::atomic<int>> hits(n);
+        TaskGraph g;
+        const int s = g.add(
+            [&](std::size_t b, std::size_t e) {
+              for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+            },
+            grain);
+        g.set_items(s, n);
+        ex.run(g);
+        for (std::size_t i = 0; i < n; ++i)
+          ASSERT_EQ(hits[i].load(), 1) << "lanes=" << lanes << " n=" << n
+                                       << " grain=" << grain << " i=" << i;
+      }
     }
   }
 }
@@ -40,31 +48,31 @@ TEST(TaskExecutor, SingleLaneRunsInlineOnCaller) {
   EXPECT_EQ(ex.lanes(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
   bool same_thread = true;
-  TaskKernel k = [&](std::size_t, std::size_t) {
-    if (std::this_thread::get_id() != caller) same_thread = false;
-  };
-  ex.for_each(100, 7, k);
-  EXPECT_TRUE(same_thread);
-
+  std::size_t covered = 0;
   TaskGraph g;
-  int a = g.add_serial([&](std::size_t, std::size_t) {
-    if (std::this_thread::get_id() != caller) same_thread = false;
-  });
+  const int wide = g.add(
+      [&](std::size_t b, std::size_t e) {
+        if (std::this_thread::get_id() != caller) same_thread = false;
+        covered += e - b;
+      },
+      7);
   g.add_serial([&](std::size_t, std::size_t) {
     if (std::this_thread::get_id() != caller) same_thread = false;
-  }, {a});
+  });
+  g.set_items(wide, 100);
   ex.run(g);
   EXPECT_TRUE(same_thread);
+  EXPECT_EQ(covered, 100u);
 }
 
-TEST(TaskExecutor, ZeroItemsSkipsKernelButReleasesSuccessors) {
+TEST(TaskExecutor, ZeroItemsSkipsStageButLaterStagesRun) {
   for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
     TaskExecutor ex(lanes);
     TaskGraph g;
     std::atomic<int> calls{0};
     std::atomic<bool> tail_ran{false};
     int a = g.add([&](std::size_t, std::size_t) { calls.fetch_add(1); }, 4);
-    g.add_serial([&](std::size_t, std::size_t) { tail_ran.store(true); }, {a});
+    g.add_serial([&](std::size_t, std::size_t) { tail_ran.store(true); });
     g.set_items(a, 0);
     ex.run(g);
     EXPECT_EQ(calls.load(), 0) << "lanes=" << lanes;
@@ -72,9 +80,10 @@ TEST(TaskExecutor, ZeroItemsSkipsKernelButReleasesSuccessors) {
   }
 }
 
-TEST(TaskExecutor, DependenciesOrderPhases) {
-  // Diamond: root fan-out -> two parallel phases -> serial join. The
-  // join must observe every write from both branches.
+TEST(TaskExecutor, StagesRunInOrder) {
+  // Two parallel stages, then a serial join. The second stage reads the
+  // first stage's writes at other chunks' indices, and the join must
+  // observe every write from both.
   TaskExecutor ex(4);
   TaskGraph g;
   constexpr std::size_t kN = 500;
@@ -84,13 +93,12 @@ TEST(TaskExecutor, DependenciesOrderPhases) {
     for (std::size_t i = lo; i < hi; ++i) a[i] = static_cast<int>(i);
   }, 16);
   int nb = g.add([&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) b[i] = 2 * static_cast<int>(i);
+    for (std::size_t i = lo; i < hi; ++i) b[i] = 2 * a[kN - 1 - i];
   }, 16);
-  int nj = g.add_serial([&](std::size_t, std::size_t) {
+  g.add_serial([&](std::size_t, std::size_t) {
     total = 0;
     for (std::size_t i = 0; i < kN; ++i) total += a[i] + b[i];
-  }, {na, nb});
-  (void)nj;
+  });
   g.set_items(na, kN);
   g.set_items(nb, kN);
   for (int rep = 0; rep < 50; ++rep) {
@@ -103,16 +111,21 @@ TEST(TaskExecutor, DependenciesOrderPhases) {
   }
 }
 
-TEST(TaskExecutor, ChainThroughZeroChunkMiddleNode) {
-  // a -> (zero-item) -> c: the zero-chunk middle node must cascade.
+TEST(TaskExecutor, ChainThroughZeroChunkStages) {
+  // a -> (zero) -> (zero) -> c -> (zero): empty stages anywhere in the
+  // chain are skipped, including two in a row and a trailing one.
   for (std::size_t lanes : {std::size_t{1}, std::size_t{2}}) {
     TaskExecutor ex(lanes);
     TaskGraph g;
     std::vector<int> order;
-    int a = g.add_serial([&](std::size_t, std::size_t) { order.push_back(1); });
-    int mid = g.add([](std::size_t, std::size_t) {}, 1, {a});
-    g.add_serial([&](std::size_t, std::size_t) { order.push_back(3); }, {mid});
-    g.set_items(mid, 0);
+    g.add_serial([&](std::size_t, std::size_t) { order.push_back(1); });
+    int mid1 = g.add([](std::size_t, std::size_t) {}, 1);
+    int mid2 = g.add([](std::size_t, std::size_t) {}, 1);
+    g.add_serial([&](std::size_t, std::size_t) { order.push_back(3); });
+    int tail = g.add([](std::size_t, std::size_t) {}, 1);
+    g.set_items(mid1, 0);
+    g.set_items(mid2, 0);
+    g.set_items(tail, 0);
     ex.run(g);
     ASSERT_EQ(order.size(), 2u) << "lanes=" << lanes;
     EXPECT_EQ(order[0], 1);
@@ -120,58 +133,103 @@ TEST(TaskExecutor, ChainThroughZeroChunkMiddleNode) {
   }
 }
 
-TEST(TaskExecutor, PredecessorSizesSuccessorMidRun) {
-  // The step-graph pattern: a serial planning node sets the item count
-  // of the parallel stage it feeds, during the run.
+TEST(TaskExecutor, EarlierStageSizesLaterStageMidRun) {
+  // The step-graph pattern: a serial planning stage sets the item count
+  // of the parallel stage it feeds, during the run — here also of one
+  // two stages ahead, past a stage it empties.
   for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
     TaskExecutor ex(lanes);
     TaskGraph g;
     std::atomic<std::size_t> covered{0};
+    std::atomic<std::size_t> covered_far{0};
     int stage = -1;
-    int plan = g.add_serial(
-        [&](std::size_t, std::size_t) { g.set_items(stage, 37); });
+    int far = -1;
+    g.add_serial([&](std::size_t, std::size_t) {
+      g.set_items(stage, 37);
+      g.set_items(far, 11);
+    });
     stage = g.add(
         [&](std::size_t lo, std::size_t hi) { covered.fetch_add(hi - lo); },
-        4, {plan});
+        4);
+    g.add_serial([&](std::size_t, std::size_t) {});
+    far = g.add(
+        [&](std::size_t lo, std::size_t hi) { covered_far.fetch_add(hi - lo); },
+        2);
     for (int rep = 0; rep < 3; ++rep) {
       covered.store(0);
-      g.set_items(stage, 0);  // stale count from the previous run
+      covered_far.store(0);
+      g.set_items(stage, 0);  // stale counts from the previous run
+      g.set_items(far, 0);
       ex.run(g);
       EXPECT_EQ(covered.load(), 37u) << "lanes=" << lanes << " rep=" << rep;
+      EXPECT_EQ(covered_far.load(), 11u) << "lanes=" << lanes
+                                         << " rep=" << rep;
     }
   }
 }
 
-TEST(TaskExecutor, ExceptionFromWorkerTaskPropagatesToCaller) {
+/// Runs a one-stage graph of `n` items and returns how many it covered.
+std::size_t run_count(TaskExecutor& ex, std::size_t n, std::size_t grain) {
+  std::atomic<std::size_t> ok{0};
+  TaskGraph g;
+  const int s = g.add(
+      [&](std::size_t b, std::size_t e) { ok.fetch_add(e - b); }, grain);
+  g.set_items(s, n);
+  ex.run(g);
+  return ok.load();
+}
+
+TEST(TaskExecutor, ExceptionFromStagePropagatesToCaller) {
   for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
     TaskExecutor ex(lanes);
-    TaskKernel bad = [](std::size_t, std::size_t e) {
-      if (e >= 40) throw std::runtime_error("boom");
-    };
-    EXPECT_THROW(ex.for_each(256, 8, bad), std::runtime_error)
-        << "lanes=" << lanes;
+    TaskGraph g;
+    const int s = g.add(
+        [](std::size_t, std::size_t e) {
+          if (e >= 40) throw std::runtime_error("boom");
+        },
+        8);
+    g.set_items(s, 256);
+    EXPECT_THROW(ex.run(g), std::runtime_error) << "lanes=" << lanes;
     // The executor must stay usable after a failed run.
-    std::atomic<int> ok{0};
-    TaskKernel good = [&](std::size_t b, std::size_t e) {
-      ok.fetch_add(static_cast<int>(e - b));
-    };
-    ex.for_each(100, 9, good);
-    EXPECT_EQ(ok.load(), 100) << "lanes=" << lanes;
+    EXPECT_EQ(run_count(ex, 100, 9), 100u) << "lanes=" << lanes;
   }
 }
 
-TEST(TaskExecutor, ExceptionInGraphNodeAbandonsRunButGraphIsReusable) {
+TEST(TaskExecutor, ExceptionFromHelperLanePropagatesToCaller) {
+  // Only helper lanes throw; the caller's chunk holds until one has, so
+  // the failure must cross threads to reach run().
+  TaskExecutor ex(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> helper_threw{false};
+  TaskGraph g;
+  const int s = g.add(
+      [&](std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          helper_threw.store(true);
+          throw std::runtime_error("helper boom");
+        }
+        while (!helper_threw.load()) std::this_thread::yield();
+      },
+      8);
+  g.set_items(s, 256);
+  EXPECT_THROW(ex.run(g), std::runtime_error);
+  EXPECT_TRUE(helper_threw.load());
+  EXPECT_EQ(run_count(ex, 1000, 7), 1000u);
+}
+
+TEST(TaskExecutor, ExceptionInStageAbandonsRunButGraphIsReusable) {
   for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
     TaskExecutor ex(lanes);
     TaskGraph g;
     std::atomic<int> runs{0};
     bool fail = true;
-    int a = g.add_serial([&](std::size_t, std::size_t) {
-      if (fail) throw std::logic_error("node failed");
+    g.add_serial([&](std::size_t, std::size_t) {
+      if (fail) throw std::logic_error("stage failed");
       runs.fetch_add(1);
     });
-    g.add_serial([&](std::size_t, std::size_t) { runs.fetch_add(1); }, {a});
+    g.add_serial([&](std::size_t, std::size_t) { runs.fetch_add(1); });
     EXPECT_THROW(ex.run(g), std::logic_error) << "lanes=" << lanes;
+    EXPECT_EQ(runs.load(), 0) << "lanes=" << lanes;
     fail = false;
     ex.run(g);
     EXPECT_EQ(runs.load(), 2) << "lanes=" << lanes;
@@ -190,22 +248,30 @@ TEST(TaskExecutor, ManyRepeatedRunsStaySane) {
   }, 10);
   g.add_serial([&](std::size_t, std::size_t) {
     sum = std::accumulate(data.begin(), data.end(), 0LL);
-  }, {fill});
+  });
   g.set_items(fill, kN);
   constexpr int kRuns = 2000;
   for (int r = 0; r < kRuns; ++r) ex.run(g);
   EXPECT_EQ(sum, static_cast<long long>(kN) * kRuns);
 }
 
-TEST(TaskExecutor, ForEachInlineWhenNAtMostGrain) {
-  TaskExecutor ex(8);
-  const std::thread::id caller = std::this_thread::get_id();
-  bool inline_run = false;
-  TaskKernel k = [&](std::size_t b, std::size_t e) {
-    inline_run = (std::this_thread::get_id() == caller) && b == 0 && e == 5;
-  };
-  ex.for_each(5, 16, k);
-  EXPECT_TRUE(inline_run);
+TEST(TaskExecutor, StageOfAtMostOneGrainIsOneChunk) {
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
+    TaskExecutor ex(lanes);
+    std::atomic<int> calls{0};
+    std::atomic<bool> whole{false};
+    TaskGraph g;
+    const int s = g.add(
+        [&](std::size_t b, std::size_t e) {
+          calls.fetch_add(1);
+          whole.store(b == 0 && e == 5);
+        },
+        16);
+    g.set_items(s, 5);
+    ex.run(g);
+    EXPECT_EQ(calls.load(), 1) << "lanes=" << lanes;
+    EXPECT_TRUE(whole.load()) << "lanes=" << lanes;
+  }
 }
 
 }  // namespace
