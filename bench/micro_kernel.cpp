@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot kernels:
 // spatial-grid contact detection, priority evaluation (closed form vs
-// Taylor), buffer admission, dropped-list merge and save, and a full
-// world-step at paper scale.
+// Taylor), buffer admission, dropped-list merge and save, checkpoint file
+// save and restore, and a full world-step at paper scale.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/buffer/fifo.hpp"
@@ -16,7 +18,9 @@
 #include "src/sdsrp/dropped_list.hpp"
 #include "src/sdsrp/priority_model.hpp"
 #include "src/snapshot/archive.hpp"
+#include "src/snapshot/checkpoint.hpp"
 #include "src/util/rng.hpp"
+#include "src/util/units.hpp"
 
 namespace {
 
@@ -154,6 +158,53 @@ void BM_DroppedListSave(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_DroppedListSave)->Arg(100);
+
+// The Table II world (RWP, SDSRP) with 2 MB buffers at t = 9000 s: full
+// buffers, long dropped lists, a checkpoint of about 1.3 MB.
+dtn::Scenario table2_sdsrp_2mb() {
+  dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();
+  sc.policy = "sdsrp";
+  sc.buffer_capacity = dtn::units::megabytes(2.0);
+  return sc;
+}
+
+std::string checkpoint_bench_path() {
+  return (std::filesystem::temp_directory_path() / "micro_kernel_bench.ckpt")
+      .string();
+}
+
+void BM_CheckpointSave(benchmark::State& state) {
+  const dtn::Scenario sc = table2_sdsrp_2mb();
+  auto world = dtn::build_world(sc);
+  world->run_until(9000.0);
+  const std::string path = checkpoint_bench_path();
+  for (auto _ : state) {
+    dtn::snapshot::save_checkpoint(path, sc, *world);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointRestore(benchmark::State& state) {
+  const dtn::Scenario sc = table2_sdsrp_2mb();
+  const std::string path = checkpoint_bench_path();
+  {
+    auto world = dtn::build_world(sc);
+    world->run_until(9000.0);
+    dtn::snapshot::save_checkpoint(path, sc, *world);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dtn::snapshot::restore_checkpoint(path).world);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              std::filesystem::file_size(path)));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CheckpointRestore)->Unit(benchmark::kMillisecond);
 
 void BM_WorldStepPaperScale(benchmark::State& state) {
   dtn::Scenario sc = dtn::Scenario::random_waypoint_paper();

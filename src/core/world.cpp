@@ -1187,15 +1187,32 @@ void World::rebuild_event_queues() {
   outgoing_.assign(nodes_.size(), -1);
   transfer_seq_ = 0;
   eta_heap_.clear();
+  // The transfer list is hostile input too: each transfer must own both
+  // radios and its sender's pinned, resident copy, or it fails only when
+  // it completes ("sender copy vanished").
+  std::vector<std::uint8_t> endpoint(nodes_.size(), 0);
   for (std::size_t i = 0; i < transfers_.size(); ++i) {
     Transfer& t = transfers_[i];
     t.seq = transfer_seq_++;
-    DTN_REQUIRE(outgoing_[t.from] < 0,
-                "load_state: duplicate sender among in-flight transfers");
+    DTN_REQUIRE(endpoint[t.from] == 0 && endpoint[t.to] == 0,
+                "load_state: a node is an endpoint of two in-flight "
+                "transfers");
+    endpoint[t.from] = endpoint[t.to] = 1;
+    const Node& from = *nodes_[t.from];
+    DTN_REQUIRE(from.buffer().find(t.msg) != nullptr && from.is_pinned(t.msg),
+                "load_state: in-flight transfer of a message its sender "
+                "does not hold pinned");
+    DTN_REQUIRE(from.radio_busy() && nodes_[t.to]->radio_busy(),
+                "load_state: in-flight transfer endpoint radio is idle");
     outgoing_[t.from] = static_cast<std::int64_t>(i);
     if (!cfg_.legacy_step) {
       eta_heap_.push_back(EtaEvent{t.eta, t.from, t.seq});
     }
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    DTN_REQUIRE(nodes_[i]->pinned().size() == (outgoing_[i] >= 0 ? 1u : 0u),
+                "load_state: pinned copies do not match the in-flight "
+                "transfers");
   }
   std::make_heap(eta_heap_.begin(), eta_heap_.end(), &eta_after);
   expiry_heap_.clear();

@@ -35,8 +35,8 @@ struct SweepManifest {
   /// The fully-specified scenario of one run (seed bumped by replica).
   Scenario scenario_for(std::size_t run_index) const;
 
-  /// Checkpoint-file label of one run; matches run_sweep's "p<point>_"
-  /// scheme so orchestrated and in-process sweeps share resume files.
+  /// Checkpoint-file label "p<point>_" of one run, so runs of the same
+  /// scenario at different sweep points keep separate resume files.
   std::string label_for(std::size_t run_index) const;
 
   /// Half-open run range [first, last) of a shard.

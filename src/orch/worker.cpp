@@ -42,8 +42,6 @@ ShardResult run_shard(const SweepManifest& manifest, const std::string& dir,
     if (opts.ckpt_interval_s > 0.0) {
       ckpt.dir = dir;
       ckpt.interval_s = opts.ckpt_interval_s;
-      ckpt.keep_files = true;  // .done markers must survive until the
-                               // shard result is durable
       if (opts.on_progress) {
         ckpt.on_progress = [&](double) {
           opts.on_progress(shard, done, total);

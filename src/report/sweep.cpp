@@ -10,16 +10,14 @@
 
 namespace dtn {
 
-MetricPoint run_scenario(const Scenario& sc) {
-  return run_scenario(sc, nullptr);
-}
+namespace {
 
-MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out) {
-  auto world = build_world(sc);
-  DeliveredMessagesReport delivered;
-  world->add_observer(&delivered);
-  world->run();
-  const SimStats& s = world->stats();
+/// The paper's metrics of a finished run; copies its counters to
+/// `stats_out` when non-null.
+MetricPoint summarize(const World& world,
+                      const DeliveredMessagesReport& delivered,
+                      SimStats* stats_out) {
+  const SimStats& s = world.stats();
   if (stats_out != nullptr) *stats_out = s;
   MetricPoint p;
   p.delivery_ratio = s.delivery_ratio();
@@ -33,6 +31,20 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out) {
   return p;
 }
 
+}  // namespace
+
+MetricPoint run_scenario(const Scenario& sc) {
+  return run_scenario(sc, nullptr);
+}
+
+MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out) {
+  auto world = build_world(sc);
+  DeliveredMessagesReport delivered;
+  world->add_observer(&delivered);
+  world->run();
+  return summarize(*world, delivered, stats_out);
+}
+
 std::string run_file_stem(const std::string& dir, const Scenario& sc,
                           const std::string& label) {
   std::ostringstream os;
@@ -41,12 +53,6 @@ std::string run_file_stem(const std::string& dir, const Scenario& sc,
 }
 
 namespace {
-
-/// File-name stem for one run: dir/<label><name>_seed<seed>.
-std::string run_stem(const CheckpointOptions& ckpt, const Scenario& sc,
-                     const std::string& label) {
-  return run_file_stem(ckpt.dir, sc, label);
-}
 
 /// The .done marker is itself a framed archive: the final MetricPoint and
 /// SimStats, so a skipped replica still reports full results.
@@ -81,10 +87,6 @@ MetricPoint read_done_marker(const std::string& path, SimStats* stats_out) {
   if (stats_out != nullptr) *stats_out = stats;
   return p;
 }
-
-}  // namespace
-
-namespace {
 
 void save_merge_stats(snapshot::ArchiveWriter& out, const MergeStats& s) {
   const MergeStats::State st = s.export_state();
@@ -168,7 +170,7 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
   if (!ckpt.enabled()) return run_scenario(sc, stats_out);
 
   std::filesystem::create_directories(ckpt.dir);
-  const std::string stem = run_stem(ckpt, sc, label);
+  const std::string stem = run_file_stem(ckpt.dir, sc, label);
   const std::string ckpt_path = stem + ".ckpt";
   const std::string done_path = stem + ".done";
 
@@ -207,76 +209,33 @@ MetricPoint run_scenario(const Scenario& sc, SimStats* stats_out,
     }
   }
 
-  const SimStats& s = world->stats();
-  if (stats_out != nullptr) *stats_out = s;
-  MetricPoint p;
-  p.delivery_ratio = s.delivery_ratio();
-  p.avg_hopcount = s.avg_hopcount();
-  p.overhead_ratio = s.overhead_ratio();
-  p.avg_latency = s.avg_latency();
-  if (!delivered.rows().empty()) {
-    p.median_latency = delivered.latency_quantile(0.5);
-    p.p95_latency = delivered.latency_quantile(0.95);
-  }
-
-  write_done_marker(done_path, p, s);
+  const MetricPoint p = summarize(*world, delivered, stats_out);
+  write_done_marker(done_path, p, world->stats());
   std::remove(ckpt_path.c_str());
-  if (!ckpt.keep_files) std::remove(done_path.c_str());
   return p;
 }
 
-ReplicatedMetrics run_replicated(const Scenario& base, std::size_t replicas,
-                                 ThreadPool* pool,
-                                 const CheckpointOptions& ckpt) {
-  // With checkpointing, .done markers must outlive the replica that wrote
-  // them so a restarted set can skip finished work; clean up at the end.
-  CheckpointOptions per_run = ckpt;
-  per_run.keep_files = true;
-  std::vector<MetricPoint> points(replicas);
-  auto run_one = [&base, &points, &per_run](std::size_t r) {
+ReplicatedMetrics run_replicated(const Scenario& base, std::size_t replicas) {
+  ReplicatedMetrics agg;
+  for (std::size_t r = 0; r < replicas; ++r) {
     Scenario sc = base;
     sc.seed = base.seed + r;
-    points[r] = run_scenario(sc, nullptr, per_run);
-  };
-  if (pool != nullptr && replicas > 1) {
-    // Grain 1: each replica is a whole simulation, so chunking would only
-    // serialize work; the overload still short-circuits 1-worker pools.
-    parallel_for_index(*pool, replicas, /*grain=*/1, run_one);
-  } else {
-    for (std::size_t r = 0; r < replicas; ++r) run_one(r);
+    agg.add(run_scenario(sc));
   }
-  if (ckpt.enabled() && !ckpt.keep_files) {
-    for (std::size_t r = 0; r < replicas; ++r) {
-      Scenario sc = base;
-      sc.seed = base.seed + r;
-      std::remove((run_stem(ckpt, sc, "") + ".done").c_str());
-    }
-  }
-  ReplicatedMetrics agg;
-  for (const MetricPoint& p : points) agg.add(p);
   return agg;
 }
 
 std::vector<ReplicatedMetrics> run_sweep(const std::vector<SweepPoint>& points,
                                          std::size_t replicas,
-                                         ThreadPool* pool,
-                                         const CheckpointOptions& ckpt) {
-  CheckpointOptions per_run = ckpt;
-  per_run.keep_files = true;
-  auto point_label = [](std::size_t pi) {
-    std::ostringstream os;
-    os << 'p' << pi << '_';
-    return os.str();
-  };
-  std::vector<ReplicatedMetrics> out(points.size());
-  std::vector<std::vector<MetricPoint>> raw(points.size());
-  for (auto& v : raw) v.resize(replicas);
+                                         ThreadPool* pool) {
+  std::vector<std::vector<MetricPoint>> raw(
+      points.size(), std::vector<MetricPoint>(replicas));
   auto run_task = [&](std::size_t task) {
     const std::size_t pi = task / replicas;
     const std::size_t r = task % replicas;
     Scenario sc = points[pi].scenario;
     sc.seed = sc.seed + r;
-    raw[pi][r] = run_scenario(sc, nullptr, per_run, point_label(pi));
+    raw[pi][r] = run_scenario(sc);
   };
   if (pool != nullptr) {
     // Flatten point × replica into independent tasks (grain 1: each task
@@ -286,15 +245,7 @@ std::vector<ReplicatedMetrics> run_sweep(const std::vector<SweepPoint>& points,
   } else {
     for (std::size_t t = 0; t < points.size() * replicas; ++t) run_task(t);
   }
-  if (ckpt.enabled() && !ckpt.keep_files) {
-    for (std::size_t pi = 0; pi < points.size(); ++pi) {
-      for (std::size_t r = 0; r < replicas; ++r) {
-        Scenario sc = points[pi].scenario;
-        sc.seed = sc.seed + r;
-        std::remove((run_stem(ckpt, sc, point_label(pi)) + ".done").c_str());
-      }
-    }
-  }
+  std::vector<ReplicatedMetrics> out(points.size());
   for (std::size_t pi = 0; pi < points.size(); ++pi) {
     for (const MetricPoint& p : raw[pi]) out[pi].add(p);
   }

@@ -1,5 +1,7 @@
 // Sweep runner: executes scenarios (optionally replicated over seeds and
 // fanned out over a thread pool) and aggregates the paper's three metrics.
+// Checkpointed, resumable runs go through run_scenario's CheckpointOptions
+// overload; the sweep orchestrator (src/orch) drives it for whole sweeps.
 #pragma once
 
 #include <cstddef>
@@ -30,16 +32,17 @@ struct MetricPoint {
   double p95_latency = 0.0;     ///< p95 creation->delivery delay (s)
 };
 
-/// Periodic checkpointing for long runs. When enabled, every run leaves a
-/// `<dir>/<name>_seed<seed>.ckpt` file every `interval_s` simulated
-/// seconds (atomically replaced), and a `.done` marker holding the final
-/// metrics on completion. A rerun with the same options resumes each
-/// replica from its checkpoint — or skips it entirely when the marker
-/// exists — and produces results identical to an uninterrupted (cold) run.
+/// Periodic checkpointing for long runs. When enabled, a run leaves a
+/// `<dir>/<label><name>_seed<seed>.ckpt` file every `interval_s` simulated
+/// seconds (atomically replaced) and, on completion, replaces it with a
+/// `.done` marker holding the final metrics. The marker stays until the
+/// caller removes it (the orchestrator does, once the shard result that
+/// covers the run is durable). A rerun with the same options resumes the
+/// run from its checkpoint — or skips it entirely when the marker exists —
+/// and produces results identical to an uninterrupted (cold) run.
 struct CheckpointOptions {
   std::string dir;         ///< empty = checkpointing disabled
   double interval_s = 0.0; ///< simulated seconds between saves; <=0 disables
-  bool keep_files = false; ///< keep .ckpt/.done after a completed run
   /// Optional liveness hook, called after every periodic checkpoint save
   /// with the current simulated time. Orchestrator workers heartbeat from
   /// here so a lease stays fresh through a single long run. Never called
@@ -140,12 +143,8 @@ void save_aggregate(snapshot::ArchiveWriter& out, const ReplicatedMetrics& m);
 void load_aggregate(snapshot::ArchiveReader& in, ReplicatedMetrics& m);
 
 /// Runs `replicas` independent replications of `base` (only the seed
-/// differs). When `pool` is non-null the replicas run concurrently;
-/// results are identical either way. With checkpointing enabled, a
-/// partially completed replica set resumes where it stopped.
-ReplicatedMetrics run_replicated(const Scenario& base, std::size_t replicas,
-                                 ThreadPool* pool = nullptr,
-                                 const CheckpointOptions& ckpt = {});
+/// differs) one after another, without checkpoints.
+ReplicatedMetrics run_replicated(const Scenario& base, std::size_t replicas);
 
 /// One sweep point: a label (the x value) and its base scenario.
 struct SweepPoint {
@@ -155,10 +154,11 @@ struct SweepPoint {
 
 /// Runs every point (each replicated `replicas` times) and returns the
 /// aggregated metrics in point order. Points × replicas fan out over the
-/// pool when provided.
+/// pool when provided; results are identical either way. Runs are not
+/// checkpointed: resumable sweeps go through orch::run_sweep_inprocess or
+/// dtn_sweepd.
 std::vector<ReplicatedMetrics> run_sweep(const std::vector<SweepPoint>& points,
                                          std::size_t replicas,
-                                         ThreadPool* pool = nullptr,
-                                         const CheckpointOptions& ckpt = {});
+                                         ThreadPool* pool = nullptr);
 
 }  // namespace dtn

@@ -49,36 +49,26 @@ void IntermeetingEstimator::on_contact_end(std::size_t peer, double now) {
 void IntermeetingEstimator::bind_hot(NodeHotState* hot, std::size_t id) {
   hot_ = hot;
   hot_id_ = id;
-  if (hot_ == nullptr) return;
-  hot_->imt_prior[hot_id_] = prior_mean_;
-  hot_->imt_min_samples[hot_id_] = min_samples_;
-  hot_->imt_naive[hot_id_] = mode_ == ImtEstimatorMode::kNaiveMean ? 1 : 0;
   sync_hot();
 }
 
+IntermeetingScalars IntermeetingEstimator::scalars() const {
+  return {.events = stats_.count(),
+          .min_samples = min_samples_,
+          .prior = prior_mean_,
+          .naive = mode_ == ImtEstimatorMode::kNaiveMean,
+          .naive_mean = stats_.mean(),
+          .closed_exposure = closed_exposure_,
+          .open_count = open_count_,
+          .open_since_sum = open_since_sum_};
+}
+
 void IntermeetingEstimator::sync_hot() {
-  if (hot_ == nullptr) return;
-  hot_->imt_events[hot_id_] = stats_.count();
-  hot_->imt_naive_mean[hot_id_] = stats_.mean();
-  hot_->imt_closed_exposure[hot_id_] = closed_exposure_;
-  hot_->imt_open_count[hot_id_] = open_count_;
-  hot_->imt_open_since_sum[hot_id_] = open_since_sum_;
+  if (hot_ != nullptr) hot_->imt[hot_id_] = scalars();
 }
 
 double IntermeetingEstimator::mean_intermeeting(double now) const {
-  if (stats_.count() < min_samples_) return prior_mean_;
-  if (mode_ == ImtEstimatorMode::kNaiveMean) {
-    const double m = stats_.mean();
-    return m > 0.0 ? m : prior_mean_;
-  }
-  // Censored MLE: exposure / events. Open intervals contribute the time
-  // each not-yet-re-met peer has been waiting since its last contact end.
-  const double open_exposure =
-      static_cast<double>(open_count_) * now - open_since_sum_;
-  const double exposure = closed_exposure_ + std::max(0.0, open_exposure);
-  const double events = static_cast<double>(stats_.count());
-  const double mean = exposure / events;
-  return mean > 0.0 ? mean : prior_mean_;
+  return intermeeting_mean(scalars(), now);
 }
 
 double IntermeetingEstimator::lambda_min(double now,
@@ -113,13 +103,20 @@ void write_sorted_map(snapshot::ArchiveWriter& out,
   }
 }
 
-void read_map(snapshot::ArchiveReader& in,
-              std::unordered_map<std::size_t, double>& m) {
+// Reads a map written by write_sorted_map; the peers must be strictly
+// ascending, so none repeats.
+void read_sorted_map(snapshot::ArchiveReader& in,
+                     std::unordered_map<std::size_t, double>& m) {
+  using R = snapshot::ArchiveReader;
   m.clear();
-  const std::uint64_t n = in.u64();
+  const std::uint64_t n = in.count(R::kU64Bytes + R::kF64Bytes);
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const auto k = static_cast<std::size_t>(in.u64());
-    m[k] = in.f64();
+    const std::uint64_t k = in.u64();
+    DTN_REQUIRE(i == 0 || k > prev,
+                "imt-estimator: peers must be strictly ascending");
+    prev = k;
+    m.emplace(static_cast<std::size_t>(k), in.f64());
   }
 }
 
@@ -142,8 +139,13 @@ void IntermeetingEstimator::load_state(snapshot::ArchiveReader& in) {
   closed_exposure_ = in.f64();
   open_count_ = static_cast<std::size_t>(in.u64());
   open_since_sum_ = in.f64();
-  read_map(in, last_end_);
-  read_map(in, last_seen_);
+  read_sorted_map(in, last_end_);
+  read_sorted_map(in, last_seen_);
+  // Each open peer contributes one open interval; a mismatch would make
+  // on_contact_start close intervals that do not exist.
+  DTN_REQUIRE(open_count_ == last_end_.size(),
+              "imt-estimator: open interval count does not match the open "
+              "peers");
   in.end_section();
   sync_hot();
 }

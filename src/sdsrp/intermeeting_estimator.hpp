@@ -81,14 +81,14 @@ class IntermeetingEstimator {
   void save_state(snapshot::ArchiveWriter& out) const;
   void load_state(snapshot::ArchiveReader& in);
 
-  /// Binds this estimator to row `id` of the World's SoA block: every
-  /// contact event (and every restore) writes the scalars that
-  /// hot_mean_intermeeting reads, so priority evaluation can stream
-  /// parallel arrays instead of chasing this object. The configuration
-  /// mirrors are written once here.
+  /// Binds this estimator to row `id` of the World's hot block: the bind,
+  /// every contact event and every restore write the scalars that
+  /// hot_mean_intermeeting reads, so priority evaluation reads one row
+  /// instead of chasing this object.
   void bind_hot(NodeHotState* hot, std::size_t id);
 
  private:
+  IntermeetingScalars scalars() const;
   void sync_hot();
 
   NodeHotState* hot_ = nullptr;  ///< non-owning; nullptr = unmirrored

@@ -187,46 +187,40 @@ void ArchiveReader::end_section() {
 
 namespace {
 
-void append_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void store_le(std::uint8_t* out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
-void append_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t take_le32(const std::vector<std::uint8_t>& in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[at + static_cast<std::size_t>(i)]) << (8 * i);
-  return v;
-}
-
-std::uint64_t take_le64(const std::vector<std::uint8_t>& in, std::size_t at) {
+std::uint64_t load_le(const std::uint8_t* in, int n) {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[at + static_cast<std::size_t>(i)]) << (8 * i);
+  for (int i = 0; i < n; ++i) v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
   return v;
 }
+
+constexpr std::size_t kHeaderBytes = 16;  // magic, version, payload length
+constexpr std::size_t kTrailerBytes = 8;  // FNV-1a of the payload
 
 }  // namespace
 
 void write_archive_file(const std::string& path, const ArchiveWriter& w) {
   const std::vector<std::uint8_t>& payload = w.bytes();
-  std::vector<std::uint8_t> framed;
-  framed.reserve(payload.size() + 24);
-  append_le32(framed, kArchiveMagic);
-  append_le32(framed, kArchiveVersion);
-  append_le64(framed, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  Fnv1a h;
-  h.update(payload.data(), payload.size());
-  append_le64(framed, h.digest());
+  std::uint8_t header[kHeaderBytes];
+  store_le(header, kArchiveMagic, 4);
+  store_le(header + 4, kArchiveVersion, 4);
+  store_le(header + 8, payload.size(), 8);
+  // The writer hashed every payload byte as it produced it, so its
+  // running digest is the trailer.
+  std::uint8_t trailer[kTrailerBytes];
+  store_le(trailer, w.digest(), 8);
 
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
     DTN_REQUIRE(os.good(), "archive: cannot open for writing: " + tmp);
-    os.write(reinterpret_cast<const char*>(framed.data()),
-             static_cast<std::streamsize>(framed.size()));
+    os.write(reinterpret_cast<const char*>(header), kHeaderBytes);
+    os.write(reinterpret_cast<const char*>(payload.data()),
+             static_cast<std::streamsize>(payload.size()));
+    os.write(reinterpret_cast<const char*>(trailer), kTrailerBytes);
     DTN_REQUIRE(os.good(), "archive: write failed: " + tmp);
   }
   DTN_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
@@ -234,30 +228,37 @@ void write_archive_file(const std::string& path, const ArchiveWriter& w) {
 }
 
 ArchiveReader read_archive_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   DTN_REQUIRE(is.good(), "archive: cannot open: " + path);
-  std::vector<std::uint8_t> framed((std::istreambuf_iterator<char>(is)),
-                                   std::istreambuf_iterator<char>());
-  DTN_REQUIRE(framed.size() >= 24, "archive: file too short: " + path);
-  DTN_REQUIRE(take_le32(framed, 0) == kArchiveMagic,
+  const std::streamoff size = is.tellg();
+  DTN_REQUIRE(size >= static_cast<std::streamoff>(kHeaderBytes + kTrailerBytes),
+              "archive: file too short: " + path);
+  std::uint8_t header[kHeaderBytes];
+  is.seekg(0);
+  is.read(reinterpret_cast<char*>(header), kHeaderBytes);
+  DTN_REQUIRE(is.good(), "archive: read failed: " + path);
+  DTN_REQUIRE(load_le(header, 4) == kArchiveMagic,
               "archive: bad magic (not a snapshot file): " + path);
-  const std::uint32_t version = take_le32(framed, 4);
+  const auto version = static_cast<std::uint32_t>(load_le(header + 4, 4));
   DTN_REQUIRE(version >= kArchiveMinVersion && version <= kArchiveVersion,
               "archive: unsupported version " + std::to_string(version) +
                   " (supported: " + std::to_string(kArchiveMinVersion) +
                   ".." + std::to_string(kArchiveVersion) + ")");
-  const std::uint64_t n = take_le64(framed, 8);
-  DTN_REQUIRE(framed.size() == 24 + n,
+  // The length must match the file before it sizes any buffer.
+  const std::uint64_t n = load_le(header + 8, 8);
+  DTN_REQUIRE(n == static_cast<std::uint64_t>(size) - kHeaderBytes - kTrailerBytes,
               "archive: payload length mismatch (truncated?): " + path);
+  std::vector<std::uint8_t> payload(n);
+  std::uint8_t trailer[kTrailerBytes];
+  is.read(reinterpret_cast<char*>(payload.data()),
+          static_cast<std::streamsize>(n));
+  is.read(reinterpret_cast<char*>(trailer), kTrailerBytes);
+  DTN_REQUIRE(is.good(), "archive: read failed: " + path);
   Fnv1a h;
-  h.update(framed.data() + 16, n);
-  const std::uint64_t stored = take_le64(framed, 16 + n);
-  DTN_REQUIRE(h.digest() == stored, "archive: digest mismatch (corrupt): " + path);
-  return ArchiveReader(
-      std::vector<std::uint8_t>(
-          framed.begin() + 16,
-          framed.begin() + 16 + static_cast<std::ptrdiff_t>(n)),
-      version);
+  h.update(payload.data(), payload.size());
+  DTN_REQUIRE(h.digest() == load_le(trailer, 8),
+              "archive: digest mismatch (corrupt): " + path);
+  return ArchiveReader(std::move(payload), version);
 }
 
 void write_running_stats(ArchiveWriter& w, const RunningStats& s) {

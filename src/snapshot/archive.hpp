@@ -167,13 +167,17 @@ class ArchiveReader {
 };
 
 /// Writes the archive as a framed file: magic, version, payload length,
-/// payload, FNV-1a digest trailer. The write goes through a temporary
-/// file + rename so a crash mid-write never leaves a half checkpoint at
-/// `path`. The writer must be in buffer mode with balanced sections.
+/// payload, and the writer's running FNV-1a digest as the trailer (each
+/// payload byte is hashed once, as it is written). The write goes
+/// through a temporary file + rename so a crash mid-write never leaves a
+/// half checkpoint at `path`. The writer must be in buffer mode with
+/// balanced sections.
 void write_archive_file(const std::string& path, const ArchiveWriter& w);
 
-/// Reads and validates a framed archive file (magic, version, length,
-/// digest). Throws PreconditionError on any corruption.
+/// Reads and validates a framed archive file. The header (magic, version,
+/// payload length against the file size) is checked before any buffer is
+/// sized from it; the payload is then read once and its digest checked.
+/// Throws PreconditionError on any corruption.
 ArchiveReader read_archive_file(const std::string& path);
 
 // --- shared composite helpers ---

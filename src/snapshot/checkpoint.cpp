@@ -18,30 +18,16 @@ void save_world(ArchiveWriter& out, const Scenario& sc, const World& world,
   out.end_section();
 }
 
-RestoredWorld restore_world(ArchiveReader& in, const ExtraReader& extra) {
+namespace {
+
+// Opens the checkpoint section and reads the embedded scenario.
+Scenario read_scenario(ArchiveReader& in) {
   in.begin_section("checkpoint");
-  RestoredWorld r;
-  r.scenario = Scenario::from_settings(Settings::parse(in.str()));
-  r.world = build_world(r.scenario);
-  r.world->load_state(in);
-  const bool has_extra = in.boolean();
-  DTN_REQUIRE(has_extra == static_cast<bool>(extra),
-              "checkpoint: extra payload presence does not match reader");
-  if (has_extra) {
-    in.begin_section("extra");
-    extra(in);
-    in.end_section();
-  }
-  in.end_section();
-  return r;
+  return Scenario::from_settings(Settings::parse(in.str()));
 }
 
-Scenario restore_world_into(ArchiveReader& in, World& world,
-                            const ExtraReader& extra) {
-  in.begin_section("checkpoint");
-  const Scenario sc = Scenario::from_settings(Settings::parse(in.str()));
-  DTN_REQUIRE(sc.n_nodes == world.node_count(),
-              "checkpoint: scenario does not match the target world");
+// Loads the dynamic state and the extra payload and closes the section.
+void read_state(ArchiveReader& in, World& world, const ExtraReader& extra) {
   world.load_state(in);
   const bool has_extra = in.boolean();
   DTN_REQUIRE(has_extra == static_cast<bool>(extra),
@@ -52,6 +38,24 @@ Scenario restore_world_into(ArchiveReader& in, World& world,
     in.end_section();
   }
   in.end_section();
+}
+
+}  // namespace
+
+RestoredWorld restore_world(ArchiveReader& in, const ExtraReader& extra) {
+  RestoredWorld r;
+  r.scenario = read_scenario(in);
+  r.world = build_world(r.scenario);
+  read_state(in, *r.world, extra);
+  return r;
+}
+
+Scenario restore_world_into(ArchiveReader& in, World& world,
+                            const ExtraReader& extra) {
+  Scenario sc = read_scenario(in);
+  DTN_REQUIRE(sc.n_nodes == world.node_count(),
+              "checkpoint: scenario does not match the target world");
+  read_state(in, world, extra);
   return sc;
 }
 
@@ -67,7 +71,5 @@ RestoredWorld restore_checkpoint(const std::string& path,
   ArchiveReader r = read_archive_file(path);
   return restore_world(r, extra);
 }
-
-std::uint64_t world_digest(const World& world) { return world.digest(); }
 
 }  // namespace dtn::snapshot

@@ -13,7 +13,6 @@
 // end yields the same digest and metrics as the uninterrupted run.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -52,10 +51,5 @@ void save_checkpoint(const std::string& path, const Scenario& sc,
                      const World& world, const ExtraWriter& extra = {});
 RestoredWorld restore_checkpoint(const std::string& path,
                                  const ExtraReader& extra = {});
-
-/// Digest of the world's canonical state; equal digests mean (up to hash
-/// collision) identical simulation states. Thin alias of World::digest()
-/// for call sites that only include the snapshot layer.
-std::uint64_t world_digest(const World& world);
 
 }  // namespace dtn::snapshot

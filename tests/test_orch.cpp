@@ -203,13 +203,12 @@ TEST(CheckpointHygiene, StaleCkptBesideDoneIsRemovedOnResume) {
   CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.interval_s = 150.0;
-  ckpt.keep_files = true;
   const MetricPoint first = run_scenario(sc, nullptr, ckpt, "hy_");
 
   const std::string stem = run_file_stem(dir, sc, "hy_");
   ASSERT_TRUE(fs::exists(stem + ".done"));
-  // A periodic .ckpt legitimately survives a keep_files run; make sure
-  // one exists (and is never read) by planting junk bytes.
+  // Plant the .ckpt a worker that died before removing it would leave,
+  // as junk bytes so a read of it would fail.
   std::ofstream(stem + ".ckpt", std::ios::binary) << "stale junk";
   ASSERT_TRUE(fs::exists(stem + ".ckpt"));
 

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "src/config/scenario.hpp"
+#include "src/orch/manifest.hpp"
+#include "src/orch/worker.hpp"
 #include "src/report/observers.hpp"
 #include "src/report/sweep.hpp"
 #include "src/snapshot/checkpoint.hpp"
@@ -159,6 +161,51 @@ TEST(ArchiveFile, MissingFileThrows) {
                PreconditionError);
 }
 
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(reinterpret_cast<const char*>(b.data()),
+           static_cast<std::streamsize>(b.size()));
+}
+
+TEST(ArchiveFile, LengthFieldPastEndOfFileRejected) {
+  // The reader must refuse a header that claims more payload than the
+  // file holds before it sizes any buffer from it: a claim of 2^62 bytes
+  // fails with the archive's own error, not in the allocator.
+  const std::string path = temp_path("archive_long_length.bin");
+  snapshot::ArchiveWriter w;
+  w.u64(31337);
+  snapshot::write_archive_file(path, w);
+  const std::vector<std::uint8_t> clean = read_file(path);
+  for (const std::uint64_t claim :
+       {std::uint64_t{w.bytes().size() + 1}, std::uint64_t{1} << 62}) {
+    std::vector<std::uint8_t> bytes = clean;
+    for (int i = 0; i < 8; ++i) {
+      bytes[8 + i] = static_cast<std::uint8_t>(claim >> (8 * i));
+    }
+    write_file(path, bytes);
+    EXPECT_THROW(snapshot::read_archive_file(path), PreconditionError)
+        << "length field " << claim;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ArchiveFile, TrailingBytesRejected) {
+  const std::string path = temp_path("archive_trailing.bin");
+  snapshot::ArchiveWriter w;
+  w.u64(31337);
+  snapshot::write_archive_file(path, w);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  bytes.push_back(0);
+  write_file(path, bytes);
+  EXPECT_THROW(snapshot::read_archive_file(path), PreconditionError);
+  std::remove(path.c_str());
+}
+
 // --- save -> restore -> run-to-end equality ---
 
 // Scaled-down paper scenarios (structure intact, sizes reduced so each
@@ -266,6 +313,36 @@ TEST(SnapshotFile, CheckpointFileRoundTripsThroughDisk) {
   EXPECT_EQ(restored.scenario.seed, sc.seed);
   EXPECT_EQ(restored.world->digest(), half_digest);
   std::remove(path.c_str());
+}
+
+TEST(ArchiveFile, WrittenBytesArePinned) {
+  // Every file write_archive_file produces (checkpoints, .done markers,
+  // shard results, results.bin) is a 16-byte header, the writer's payload
+  // and its running FNV-1a digest. The pin is the FNV-1a of a whole
+  // checkpoint file, so any change to the file encoding shows here.
+  constexpr std::uint64_t kPinnedFileFnv = 0xc4e54270ea973a06ULL;
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  const std::string path = temp_path("pinned_checkpoint.ckpt");
+  auto world = build_world(sc);
+  world->run_until(1000.0);
+  snapshot::save_checkpoint(path, sc, *world);
+  const std::vector<std::uint8_t> file = read_file(path);
+  std::remove(path.c_str());
+  snapshot::Fnv1a h;
+  h.update(file.data(), file.size());
+  EXPECT_EQ(h.digest(), kPinnedFileFnv);
+
+  snapshot::ArchiveWriter w;
+  snapshot::save_world(w, sc, *world);
+  const std::vector<std::uint8_t>& payload = w.bytes();
+  ASSERT_EQ(file.size(), 16 + payload.size() + 8);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), file.begin() + 16));
+  std::uint64_t trailer = 0;
+  for (int i = 0; i < 8; ++i) {
+    trailer |= static_cast<std::uint64_t>(file[16 + payload.size() + i])
+               << (8 * i);
+  }
+  EXPECT_EQ(trailer, w.digest());
 }
 
 TEST(SnapshotFile, RouterStateSurvivesRoundTrip) {
@@ -630,6 +707,132 @@ TEST(SnapshotHostile, OutOfRangeContactPairIsAPreconditionError) {
   }
 }
 
+// The message of the PreconditionError restoring `bytes` throws, or ""
+// when the restore succeeds.
+std::string restore_error(std::vector<std::uint8_t> bytes) {
+  snapshot::ArchiveReader in(std::move(bytes));
+  try {
+    snapshot::restore_world(in);
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SnapshotHostile, TransferOfAbsentMessageIsAPreconditionError) {
+  // An in-flight transfer names a message its sender no longer holds.
+  // Unchecked, the restore succeeded and the run died a few steps later
+  // with "sender copy vanished" when the transfer completed.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  ASSERT_EQ(world->transfers_in_flight().size(), 1u);
+  const Transfer t = world->transfers_in_flight().front();
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+
+  // The transfer record opens with its tagged u32 from, u32 to, u64 msg.
+  snapshot::ArchiveWriter rec;
+  rec.u32(t.from);
+  rec.u32(t.to);
+  rec.u64(t.msg);
+  const std::vector<std::uint8_t>& key = rec.bytes();
+  const auto it = std::search(clean.begin(), clean.end(), key.begin(), key.end());
+  ASSERT_NE(it, clean.end());
+  ASSERT_EQ(std::search(it + 1, clean.end(), key.begin(), key.end()), clean.end());
+  const auto msg_at = static_cast<std::size_t>(it - clean.begin()) + key.size() - 8;
+  EXPECT_EQ(restore_error(clean), "");  // the clean bytes load
+
+  std::vector<std::uint8_t> bytes = clean;
+  const std::uint64_t absent = t.msg + (std::uint64_t{1} << 40);
+  for (int i = 0; i < 8; ++i) {
+    bytes[msg_at + i] = static_cast<std::uint8_t>(absent >> (8 * i));
+  }
+  const std::string error = restore_error(bytes);
+  EXPECT_NE(error.find("does not hold pinned"), std::string::npos) << error;
+}
+
+// Offset of the first "imt-estimator" section body whose last_end and
+// last_seen maps both hold two or more peers, or npos. The body is the
+// running stats (u64 n, four f64), f64 closed exposure, u64 open count,
+// f64 open-since sum, then the two maps: u64 count and (u64 peer, f64
+// time) entries each.
+struct EstimatorLayout {
+  std::size_t open_count = std::string::npos;  ///< tagged u64
+  std::size_t last_end = std::string::npos;    ///< tagged u64 count
+  std::size_t last_seen = std::string::npos;   ///< tagged u64 count
+};
+
+EstimatorLayout find_estimator(const std::vector<std::uint8_t>& b) {
+  constexpr std::size_t kScalar = snapshot::ArchiveReader::kU64Bytes;
+  constexpr std::size_t kEntry = 2 * kScalar;
+  const auto le64_at = [&b](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+    }
+    return v;
+  };
+  const std::string name = "imt-estimator";
+  for (auto it = b.begin();
+       (it = std::search(it, b.end(), name.begin(), name.end())) != b.end();
+       ++it) {
+    const std::size_t body = static_cast<std::size_t>(it - b.begin()) + name.size();
+    EstimatorLayout l;
+    l.open_count = body + 6 * kScalar;
+    l.last_end = body + 8 * kScalar;
+    const std::uint64_t n_end = le64_at(l.last_end + 1);
+    l.last_seen = l.last_end + kScalar + n_end * kEntry;
+    if (n_end >= 2 && le64_at(l.last_seen + 1) >= 2) return l;
+  }
+  return {};
+}
+
+TEST(SnapshotHostile, InconsistentEstimatorIsAPreconditionError) {
+  // The estimator's open-interval count must equal its open peers: one
+  // too many made the next contact start count an interval that does
+  // not exist and skewed E(I). Its peer maps must be strictly ascending
+  // (the form save_state writes) so a repeated peer cannot shadow
+  // another, and a corrupt peer count must fail at the count.
+  const Scenario sc = small_paper("rwp", "sdsrp");
+  auto world = build_world(sc);
+  world->run_until(sc.world.duration / 2.0);
+  snapshot::ArchiveWriter out;
+  snapshot::save_world(out, sc, *world);
+  const std::vector<std::uint8_t> clean = out.bytes();
+  const EstimatorLayout l = find_estimator(clean);
+  ASSERT_NE(l.open_count, std::string::npos) << "no estimator with two peers";
+  EXPECT_EQ(restore_error(clean), "");  // the clean bytes load
+
+  constexpr std::size_t kScalar = snapshot::ArchiveReader::kU64Bytes;
+  const std::size_t end0 = l.last_end + kScalar;  // first (peer, time) entry
+  const std::size_t seen0 = l.last_seen + kScalar;
+  std::vector<std::uint8_t> open_plus_one = clean;
+  ++open_plus_one[l.open_count + 1];
+  std::vector<std::uint8_t> swapped_end = clean;  // first two entries swap
+  std::swap_ranges(swapped_end.begin() + end0,
+                   swapped_end.begin() + end0 + 2 * kScalar,
+                   swapped_end.begin() + end0 + 2 * kScalar);
+  std::vector<std::uint8_t> repeated_seen = clean;  // second peer = first
+  std::copy_n(clean.begin() + seen0 + 1, 8,
+              repeated_seen.begin() + seen0 + 2 * kScalar + 1);
+  std::vector<std::uint8_t> flipped_count = clean;
+  flipped_count[l.last_end + 8] ^= 0x40;  // high byte of the count
+
+  const std::pair<const char*, const std::vector<std::uint8_t>*> cases[] = {
+      {"open interval count", &open_plus_one},
+      {"strictly ascending", &swapped_end},
+      {"strictly ascending", &repeated_seen},
+      {"element count exceeds", &flipped_count},
+  };
+  for (const auto& [needle, bytes] : cases) {
+    const std::string error = restore_error(*bytes);
+    EXPECT_NE(error.find(needle), std::string::npos)
+        << "expected '" << needle << "', got '" << error << "'";
+  }
+}
+
 // --- digest determinism regression ---
 
 TEST(Digest, SameSeedSameDigestTrajectory) {
@@ -702,53 +905,51 @@ TEST(CheckpointedRuns, RunScenarioResumesFromCheckpoint) {
 }
 
 TEST(CheckpointedRuns, ReplicatedSetResumesPartialWork) {
-  const Scenario base = small_paper("rwp", "fifo");
-  const std::size_t replicas = 3;
+  // One sweep point, three replicas in one shard, resumed by the
+  // orchestrator: replica 0 finished (its .done marker exists), replica 1
+  // stopped half-way (a .ckpt file exists), replica 2 never started.
+  orch::SweepManifest m;
+  m.name = "resume";
+  m.replicas = 3;
+  m.shard_size = 3;
+  m.points.push_back({1.0, small_paper("rwp", "fifo")});
   const std::string dir = temp_path("ckpt_replicated");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  const ReplicatedMetrics cold = run_replicated(base, replicas);
+  const ReplicatedMetrics cold = run_replicated(m.points[0].scenario, 3);
 
-  // Simulate a partially completed set: replica 0 finished (its .done
-  // marker exists), replica 1 stopped half-way (a .ckpt file exists),
-  // replica 2 never started.
   CheckpointOptions ckpt;
   ckpt.dir = dir;
   ckpt.interval_s = 1000.0;
+  run_scenario(m.scenario_for(0), nullptr, ckpt, m.label_for(0));
+  ASSERT_TRUE(std::filesystem::exists(
+      run_file_stem(dir, m.scenario_for(0), m.label_for(0)) + ".done"));
   {
-    Scenario r0 = base;
-    CheckpointOptions keep = ckpt;
-    keep.keep_files = true;
-    run_scenario(r0, nullptr, keep);
-    ASSERT_TRUE(std::filesystem::exists(
-        dir + "/" + r0.name + "_seed" + std::to_string(r0.seed) + ".done"));
-  }
-  {
-    Scenario r1 = base;
-    r1.seed = base.seed + 1;
+    const Scenario r1 = m.scenario_for(1);
     auto world = build_world(r1);
     DeliveredMessagesReport delivered;
     world->add_observer(&delivered);
     world->run_until(r1.world.duration / 2.0);
     snapshot::save_checkpoint(
-        dir + "/" + r1.name + "_seed" + std::to_string(r1.seed) + ".ckpt",
-        r1, *world, [&delivered](snapshot::ArchiveWriter& out) {
+        run_file_stem(dir, r1, m.label_for(1)) + ".ckpt", r1, *world,
+        [&delivered](snapshot::ArchiveWriter& out) {
           delivered.save_state(out);
         });
   }
 
-  const ReplicatedMetrics warm = run_replicated(base, replicas, nullptr, ckpt);
-
-  const MetricPoint cm = cold.mean();
-  const MetricPoint wm = warm.mean();
-  EXPECT_EQ(wm.delivery_ratio, cm.delivery_ratio);
-  EXPECT_EQ(wm.avg_hopcount, cm.avg_hopcount);
-  EXPECT_EQ(wm.overhead_ratio, cm.overhead_ratio);
-  EXPECT_EQ(wm.avg_latency, cm.avg_latency);
-  EXPECT_EQ(wm.median_latency, cm.median_latency);
-  EXPECT_EQ(wm.p95_latency, cm.p95_latency);
-  EXPECT_EQ(warm.delivery_ratio.stddev(), cold.delivery_ratio.stddev());
+  orch::InProcessOptions opts;
+  opts.ckpt_interval_s = ckpt.interval_s;
+  const std::vector<ReplicatedMetrics> warm =
+      orch::run_sweep_inprocess(m, dir, opts);
+  ASSERT_EQ(warm.size(), 1u);
+  EXPECT_EQ(warm[0], cold);
+  for (std::size_t run = 0; run < m.total_runs(); ++run) {
+    const std::string stem =
+        run_file_stem(dir, m.scenario_for(run), m.label_for(run));
+    EXPECT_FALSE(std::filesystem::exists(stem + ".ckpt")) << stem;
+    EXPECT_FALSE(std::filesystem::exists(stem + ".done")) << stem;
+  }
   std::filesystem::remove_all(dir);
 }
 
